@@ -93,7 +93,6 @@ def _bounds_dict(bounds) -> dict | None:
 def _add_common(parser: _Parser) -> None:
     parser.add_argument("--tol-rank", type=float, default=None, help="relative rank threshold")
     parser.add_argument("--tol-cert", type=float, default=None, help="certification budget")
-    parser.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; runs single-process")
     parser.add_argument("--out", default=None, help="also write the report (for generate: the sequence) to this path")
 
 
@@ -233,7 +232,7 @@ def _cmd_certify(args, tol):
     f = io.parse_sequence(args.f)
     omega = io.parse_sequence(args.omega)
     cert = rduals.certify_symmetrical_pair(f, omega, tol)
-    s_f_sqrt = linalg.psd_sqrt(frames.frame_operator(f), tol)
+    s_f_sqrt = frames.FactoredSequence.of(f, tol).sqrt()
     budget = tol.cert_rel * max(1.0, float(np.linalg.norm(omega.mat)))
     residuals = [_residual("certificate", cert.residual, budget)]
     results = {"certificate": io.certificate_payload(cert, s_f_sqrt)}

@@ -5,9 +5,15 @@ deficiency, a sequence of full rank is simultaneously a frame for the whole
 space and a Riesz basis, and any nonzero sequence is a frame sequence for its
 span. Optimal frame bounds and optimal Riesz bounds coincide with the extreme
 nonzero eigenvalues of the frame operator.
+
+Every operation factors each input sequence once, by one SVD of its synthesis
+matrix (FactoredSequence), and reads ranks, bounds and the derived operators
+off that factorization in closed form.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from .types import (
     FrameBounds,
     PROPER_FRAME_SEQUENCE,
     RIESZ_BASIS,
+    Svd,
     Tolerances,
     VectorSeq,
     ZERO_SEQUENCE,
@@ -42,32 +49,88 @@ def cross_gram(f: VectorSeq, g: VectorSeq) -> np.ndarray:
     return f.mat.T @ g.mat.conj()
 
 
-def _nonzero_singulars(s: VectorSeq, tol: Tolerances):
-    dec = linalg.svd(s.mat, tol)
-    rank = linalg.numerical_rank(dec.singulars, tol.rank_rel)
-    return dec, rank
+@dataclass(frozen=True)
+class FactoredSequence:
+    """One SVD T = U diag(sigma) V^H of a synthesis matrix, with its rank.
+
+    The frame operator is S = T T^H = U diag(sigma^2) U^H, so its square
+    root, the Parsevalization, the canonical dual and the extended square
+    root are closed forms in U, sigma and V, and cost no further
+    factorization. rank counts the singular values above rank_rel *
+    sigma_max; every rank decision on the sequence uses this one count.
+    """
+
+    dec: Svd
+    rank: int
+
+    @classmethod
+    def of(cls, s: VectorSeq, tol: Tolerances) -> "FactoredSequence":
+        dec = linalg.svd(s.mat, tol)
+        return cls(dec=dec, rank=linalg.numerical_rank(dec.singulars, tol.rank_rel))
+
+    @property
+    def span(self) -> np.ndarray:
+        """Orthonormal columns spanning the numerical range of the sequence."""
+        return self.dec.left[:, : self.rank]
+
+    def bounds(self) -> FrameBounds:
+        """Optimal bounds sigma_r^2 and sigma_1^2; the rank must be positive."""
+        sv = self.dec.singulars
+        return FrameBounds(lower=float(sv[self.rank - 1] ** 2), upper=float(sv[0] ** 2))
+
+    def parseval(self) -> np.ndarray:
+        """S^(+1/2) T = U_r V_r^H."""
+        return self.span @ self.dec.right[:, : self.rank].conj().T
+
+    def canonical_dual(self) -> np.ndarray:
+        """S^+ T = U_r diag(1/sigma_r) V_r^H."""
+        r = self.rank
+        return (self.span / self.dec.singulars[:r]) @ self.dec.right[:, :r].conj().T
+
+    def sqrt(self) -> np.ndarray:
+        """S^(1/2) = U diag(sigma) U^H."""
+        return self._spectral(self.dec.singulars)
+
+    def sqrt_ext(self) -> np.ndarray:
+        """The extended square root U diag(sigma_1, ..., sigma_r, sigma_r, ...) U^H.
+
+        This is S^(1/2) restricted to the span and extended by sigma_r on its
+        complement, what extension.extend_operator builds from the
+        restricted action.
+        """
+        return self._spectral(self._ext_singulars())
+
+    def inv_sqrt_ext(self) -> np.ndarray:
+        """The inverse of sqrt_ext, U diag(1/sigma_1, ..., 1/sigma_r, 1/sigma_r, ...) U^H."""
+        return self._spectral(1.0 / self._ext_singulars())
+
+    def _ext_singulars(self) -> np.ndarray:
+        sv = np.array(self.dec.singulars)
+        sv[self.rank :] = sv[self.rank - 1]
+        return sv
+
+    def _spectral(self, values: np.ndarray) -> np.ndarray:
+        left = self.dec.left
+        return (left * values) @ left.conj().T
 
 
 def optimal_bounds(s: VectorSeq, tol: Tolerances | None = None) -> FrameBounds:
     """Extreme nonzero eigenvalues of the frame operator, as (lower, upper)."""
     tol = tol or DEFAULT_TOL
-    dec, rank = _nonzero_singulars(s, tol)
-    if rank == 0:
+    fac = FactoredSequence.of(s, tol)
+    if fac.rank == 0:
         raise ZeroSequence("a zero sequence has no frame bounds")
-    sv = dec.singulars[:rank]
-    return FrameBounds(lower=float(sv[-1] ** 2), upper=float(sv[0] ** 2))
+    return fac.bounds()
 
 
 def classify(s: VectorSeq, tol: Tolerances | None = None) -> Classification:
     """Rank plus kind plus bounds; bounds are absent only for the zero sequence."""
     tol = tol or DEFAULT_TOL
-    dec, rank = _nonzero_singulars(s, tol)
-    if rank == 0:
+    fac = FactoredSequence.of(s, tol)
+    if fac.rank == 0:
         return Classification(rank=0, kind=ZERO_SEQUENCE, bounds=None)
-    sv = dec.singulars[:rank]
-    bounds = FrameBounds(lower=float(sv[-1] ** 2), upper=float(sv[0] ** 2))
-    kind = RIESZ_BASIS if rank == s.dim else PROPER_FRAME_SEQUENCE
-    return Classification(rank=rank, kind=kind, bounds=bounds)
+    kind = RIESZ_BASIS if fac.rank == s.dim else PROPER_FRAME_SEQUENCE
+    return Classification(rank=fac.rank, kind=kind, bounds=fac.bounds())
 
 
 def canonical_dual(s: VectorSeq, tol: Tolerances | None = None) -> VectorSeq:
@@ -76,10 +139,10 @@ def canonical_dual(s: VectorSeq, tol: Tolerances | None = None) -> VectorSeq:
     On span(s) this reproduces every vector from its frame coefficients.
     """
     tol = tol or DEFAULT_TOL
-    if np.linalg.norm(s.mat) == 0.0:
+    fac = FactoredSequence.of(s, tol)
+    if fac.rank == 0:
         raise ZeroSequence("the zero sequence has no canonical dual")
-    r = linalg.psd_pinv_sqrt(frame_operator(s), tol)
-    return VectorSeq((r @ r) @ s.mat)
+    return VectorSeq(fac.canonical_dual())
 
 
 def parsevalize(s: VectorSeq, tol: Tolerances | None = None) -> VectorSeq:
@@ -89,9 +152,10 @@ def parsevalize(s: VectorSeq, tol: Tolerances | None = None) -> VectorSeq:
     orthogonal projection onto the span.
     """
     tol = tol or DEFAULT_TOL
-    if np.linalg.norm(s.mat) == 0.0:
+    fac = FactoredSequence.of(s, tol)
+    if fac.rank == 0:
         raise ZeroSequence("the zero sequence cannot be normalized")
-    return VectorSeq(linalg.psd_pinv_sqrt(frame_operator(s), tol) @ s.mat)
+    return VectorSeq(fac.parseval())
 
 
 def verify_dual_pair(f: VectorSeq, g: VectorSeq, tol: Tolerances | None = None) -> bool:

@@ -1,10 +1,16 @@
 """Self-contained dense complex linear algebra.
 
-Everything downstream rests on two Jacobi engines: cyclic two-sided Jacobi
-sweeps for Hermitian eigendecomposition and one-sided Jacobi for the SVD.
-Both are deterministic, need no pivot heuristics, and keep their factor
-matrices orthonormal to machine precision by construction, which is what the
-residual certificates in the rest of the package rely on.
+Two Jacobi engines live here: one-sided Jacobi for the SVD and cyclic
+two-sided Jacobi sweeps for Hermitian eigendecomposition. Both are
+deterministic, need no pivot heuristics, and keep their factor matrices
+orthonormal to machine precision by construction, which is what the residual
+certificates in the rest of the package rely on.
+
+Sequence operations factor each input sequence once, by the SVD of its
+synthesis matrix (frames.FactoredSequence), and read the square roots, the
+Parsevalization and the extended square root off that SVD in closed form.
+The eigensolver only serves the helpers that take a Hermitian matrix rather
+than a sequence: psd_sqrt, psd_pinv_sqrt and rduals.validate_q.
 
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called here or anywhere else in the library.

@@ -7,6 +7,11 @@ operator Q; choosing Q as the extended square root of the dual's own frame
 operator makes the relation symmetric, and that choice is what the
 certificate here witnesses: two orthonormal bases plus the extended square
 root reproducing the dual sequence column by column.
+
+Each operation factors every input sequence once (frames.FactoredSequence)
+and builds the bases, the extended square root and the pair witness from
+those SVDs in closed form; no eigendecomposition runs here except inside
+validate_q, which takes a frame operator rather than a sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extension, frames, linalg
+from . import frames, linalg
 from .errors import (
     BoundsMismatch,
     CertificationFailed,
@@ -34,7 +39,6 @@ from .types import (
     FrameBounds,
     OrthonormalBasis,
     RIESZ_BASIS,
-    SubspaceOperator,
     Tolerances,
     VectorSeq,
     as_operator,
@@ -159,10 +163,12 @@ def rdual_type_III(
     """Type-III dual: the Parsevalized type-I dual with Q applied to the h side."""
     tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, e.dim, h.dim, q.q.shape[0])
-    if not _bounds_close(frames.optimal_bounds(f, tol), q.validated_against, tol.cert_rel):
+    fac = frames.FactoredSequence.of(f, tol)
+    if fac.rank == 0:
+        raise ZeroSequence("a zero sequence has no frame bounds")
+    if not _bounds_close(fac.bounds(), q.validated_against, tol.cert_rel):
         raise BoundsMismatch("Q was validated against a different frame operator")
-    g = frames.parsevalize(f, tol)
-    coeff = e.mat.conj().T @ g.mat
+    coeff = e.mat.conj().T @ fac.parseval()
     return VectorSeq(q.q @ h.mat @ coeff.T)
 
 
@@ -191,47 +197,37 @@ def recover_type_III(
 def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = None) -> RDualCertificate:
     """Construct and verify the symmetrical type-III relation between f and omega.
 
-    Requires equal ranks and equal optimal bounds. The bases come from
-    aligning the SVDs of the two Parsevalized sequences; the operator is the
-    square root of omega's frame operator extended from span(omega). The
-    returned residual measures the reproduction of omega and must sit inside
-    the certification budget.
+    Requires equal ranks and equal optimal bounds. With f = U_f S_f V_f^H
+    and omega = U_w S_w V_w^H, the bases are e = U_f V_w^T and
+    h = U_w V_f^T, which carry the Parsevalized f onto the Parsevalized
+    omega; the operator is the square root of omega's frame operator
+    extended from span(omega). All three come from the two SVDs. The
+    returned residual measures the reproduction of omega and must sit
+    inside the certification budget.
     """
     tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, omega.dim)
-    n = f.dim
-    dec_f = linalg.svd(f.mat, tol)
-    dec_w = linalg.svd(omega.mat, tol)
-    rank_f = linalg.numerical_rank(dec_f.singulars, tol.rank_rel)
-    rank_w = linalg.numerical_rank(dec_w.singulars, tol.rank_rel)
-    if rank_f != rank_w:
-        raise RankMismatch(f"ranks differ: {rank_f} vs {rank_w}")
-    if rank_f == 0:
+    fac_f = frames.FactoredSequence.of(f, tol)
+    fac_w = frames.FactoredSequence.of(omega, tol)
+    if fac_f.rank != fac_w.rank:
+        raise RankMismatch(f"ranks differ: {fac_f.rank} vs {fac_w.rank}")
+    if fac_f.rank == 0:
         raise ZeroSequence("cannot certify a pair of zero sequences")
-    bounds_f = FrameBounds(float(dec_f.singulars[rank_f - 1] ** 2), float(dec_f.singulars[0] ** 2))
-    bounds_w = FrameBounds(float(dec_w.singulars[rank_w - 1] ** 2), float(dec_w.singulars[0] ** 2))
+    bounds_f = fac_f.bounds()
+    bounds_w = fac_w.bounds()
     if not _bounds_close(bounds_f, bounds_w, tol.cert_rel):
         raise BoundsMismatch(
             f"optimal bounds differ: ({bounds_f.lower:.6g}, {bounds_f.upper:.6g})"
             f" vs ({bounds_w.lower:.6g}, {bounds_w.upper:.6g})"
         )
 
-    g = frames.parsevalize(f, tol)
-    u = frames.parsevalize(omega, tol)
-    dec_g = linalg.svd(g.mat, tol)
-    dec_u = linalg.svd(u.mat, tol)
-    # align the two 1/0 singular patterns so u = h_mat @ g_mat^T @ conj(e_mat)
-    e_mat = dec_g.left @ dec_u.right.T
-    h_mat = dec_u.left @ dec_g.right.T
+    e_mat = fac_f.dec.left @ fac_w.dec.right.T
+    h_mat = fac_w.dec.left @ fac_f.dec.right.T
     e_basis = OrthonormalBasis(VectorSeq(e_mat), tol=tol)
     h_basis = OrthonormalBasis(VectorSeq(h_mat), tol=tol)
+    ext = fac_w.sqrt_ext()
 
-    span_w = dec_w.left[:, :rank_w]
-    sqrt_w = linalg.psd_sqrt(frames.frame_operator(omega), tol)
-    action = span_w.conj().T @ sqrt_w @ span_w
-    ext = extension.extend_operator(SubspaceOperator(n, span_w, action, tol=tol), tol)
-
-    coeff = e_mat.conj().T @ g.mat
+    coeff = e_mat.conj().T @ fac_f.parseval()
     reproduced = ext @ h_mat @ coeff.T
     residual = float(np.linalg.norm(omega.mat - reproduced))
     budget = tol.cert_rel * max(1.0, float(np.linalg.norm(omega.mat)))
@@ -301,7 +297,9 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
     In the square model the decision reduces to agreement of the full
     singular-value multisets (zeros included, which carries the kernel
     dimension condition). On success the aligned bases reproduce omega and an
-    antiunitary witness conjugates one frame operator into the other.
+    antiunitary witness conjugates one frame operator into the other; its
+    unitary part U_w U_f^T maps the left singular vectors of f, conjugated,
+    onto those of omega.
     """
     tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, omega.dim)
@@ -330,9 +328,7 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
 
     s_f = frames.frame_operator(f)
     s_w = frames.frame_operator(omega)
-    eig_f = linalg.hermitian_eig(s_f, tol)
-    eig_w = linalg.hermitian_eig(s_w, tol)
-    unitary_part = eig_w.vectors @ eig_f.vectors.T
+    unitary_part = dec_w.left @ dec_f.left.T
     witness = AntiunitaryWitness(unitary_part=unitary_part)
     conj_residual = float(np.linalg.norm(s_w @ unitary_part - unitary_part @ np.conj(s_f)))
 

@@ -13,6 +13,10 @@ makes the representation exact up to roundoff. The c-family holds the Gram
 inner products of the Parsevalized source sequence against its first member;
 its sum is reported without any accuracy claim because away from the Parseval
 case its error can be of order one.
+
+The extended square root and its inverse are closed forms in one SVD of
+omega (frames.FactoredSequence), so building the shift family costs one
+factorization.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extension, frames, linalg
+from . import frames, linalg
 from .errors import CertificationFailed, DimensionMismatch, ZeroSequence
 from .types import (
     DEFAULT_TOL,
     OrthonormalBasis,
-    SubspaceOperator,
     Tolerances,
     VectorSeq,
     as_operator,
@@ -96,12 +99,11 @@ class RepresentationReport:
         object.__setattr__(self, "operator_c", as_operator(self.operator_c))
 
 
-def _span_basis(omega: VectorSeq, tol: Tolerances) -> np.ndarray:
-    dec = linalg.svd(omega.mat, tol)
-    rank = linalg.numerical_rank(dec.singulars, tol.rank_rel)
-    if rank == 0:
+def _factored(omega: VectorSeq, tol: Tolerances) -> frames.FactoredSequence:
+    fac = frames.FactoredSequence.of(omega, tol)
+    if fac.rank == 0:
         raise ZeroSequence("the sequence spans nothing; no shift family exists")
-    return dec.left[:, :rank]
+    return fac
 
 
 def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | None = None) -> ShiftFamily:
@@ -115,11 +117,9 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | 
     if omega.dim != h.dim:
         raise DimensionMismatch(f"dimensions differ: {omega.dim} vs {h.dim}")
     n = omega.dim
-    span = _span_basis(omega, tol)
-    sqrt_w = linalg.psd_sqrt(frames.frame_operator(omega), tol)
-    action = span.conj().T @ sqrt_w @ span
-    ext = extension.extend_operator(SubspaceOperator(n, span, action, tol=tol), tol)
-    ext_inv = linalg.inverse(ext, tol)
+    fac = _factored(omega, tol)
+    ext = fac.sqrt_ext()
+    ext_inv = fac.inv_sqrt_ext()
 
     rolled = np.roll(h.mat, -1, axis=1)
     u = rolled @ h.mat.conj().T
@@ -168,7 +168,7 @@ def coefficients(
     g = frames.parsevalize(f, tol)
     c = frames.gram(g)[0]
 
-    span = _span_basis(omega, tol)
+    span = _factored(omega, tol).span
     p = analysis @ (span @ (span.conj().T @ h0))
     return CoefficientReport(
         a=a,
@@ -180,10 +180,13 @@ def coefficients(
 
 
 def bessel_bound_of_family(vectors: VectorSeq, tol: Tolerances | None = None) -> float:
-    """Largest eigenvalue of the family's frame operator, its optimal Bessel bound."""
+    """Largest eigenvalue of the family's frame operator, its optimal Bessel bound.
+
+    That eigenvalue is the square of the largest singular value of the
+    synthesis matrix.
+    """
     tol = tol or DEFAULT_TOL
-    dec = linalg.hermitian_eig(frames.frame_operator(vectors), tol)
-    return float(max(dec.eigenvalues[-1], 0.0))
+    return linalg.operator_norm(vectors.mat, tol) ** 2
 
 
 def represent_inv_sqrt(

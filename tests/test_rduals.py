@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rdualkit import frames, linalg, rduals
+from rdualkit import frames, generators, linalg, rduals
 from rdualkit.errors import (
     BoundsMismatch,
     QInverseTooLarge,
@@ -197,6 +197,20 @@ def test_certify_seeded_pairs_and_recovery():
         assert rduals.coefficient_identity_check(f, w, cert) <= 1e-9
 
 
+def test_certify_riesz_basis_with_tiny_singular_value():
+    # sigma_min = 1e-6 sits above the rank threshold on singular values but
+    # its square does not on eigenvalues; Parsevalization must keep rank 4
+    f = generators.generate_sequence(4, "spectrum", [1.0, 0.5, 0.3, 1e-6], seed=3)
+    e = OrthonormalBasis(generators.generate_sequence(4, "onb", seed=4))
+    h = OrthonormalBasis(generators.generate_sequence(4, "onb", seed=5))
+    w = rduals.rdual_type_I(f, e, h)
+    assert frames.classify(f).kind == RIESZ_BASIS
+    p = frames.parsevalize(f)
+    assert np.linalg.norm(frames.frame_operator(p) - np.eye(4)) <= 1e-12
+    cert = rduals.certify_symmetrical_pair(f, w)
+    assert cert.residual <= 1e-12
+
+
 def test_certify_symmetry_swaps():
     rng = np.random.default_rng(301)
     f, w = matched_pair(rng, 4, 4)
@@ -241,6 +255,19 @@ def test_gamma_biorthogonality_seeded():
         cert = rduals.certify_symmetrical_pair(f, w)
         gam = rduals.gamma_sequence(f, cert)
         assert np.linalg.norm(frames.cross_gram(w, gam) - np.eye(n)) <= 1e-9
+
+
+def test_gamma_biorthogonality_ill_conditioned():
+    # condition number 1e3 puts the frame operator's at 1e6, where anything
+    # read off its eigendecomposition misses this budget
+    sv = np.geomspace(1.0, 1e-3, 16)
+    for seed in range(12):
+        f = generators.generate_sequence(16, "spectrum", sv, seed=seed)
+        e = OrthonormalBasis(generators.generate_sequence(16, "onb", seed=100 + seed))
+        h = OrthonormalBasis(generators.generate_sequence(16, "onb", seed=200 + seed))
+        w = rduals.rdual_type_I(f, e, h)
+        gam = rduals.gamma_sequence(f, rduals.certify_symmetrical_pair(f, w))
+        assert np.linalg.norm(frames.cross_gram(w, gam) - np.eye(16)) <= 1e-11
 
 
 def test_coefficient_identity_desk():
