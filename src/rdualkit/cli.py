@@ -191,7 +191,7 @@ def _cmd_analyze(args, tol):
         "kind": info.kind,
         "bounds": _bounds_dict(info.bounds),
     }
-    return {"seq": args.seq}, results, [], PASS, None
+    return results, [], PASS, None
 
 
 def _cmd_rdual_type1(args, tol):
@@ -203,8 +203,7 @@ def _cmd_rdual_type1(args, tol):
     sv_w = linalg.svd(out.mat, tol).singulars
     residuals = [_residual("singular_transfer", np.max(np.abs(sv_f - sv_w)), 1e-10)]
     results = {"omega": io.sequence_payload(out.mat)}
-    inputs = {"f": args.f, "e": args.e, "h": args.h}
-    return inputs, results, residuals, _verdict_from(residuals), None
+    return results, residuals, _verdict_from(residuals), None
 
 
 def _cmd_rdual_type3(args, tol):
@@ -224,8 +223,7 @@ def _cmd_rdual_type3(args, tol):
         "omega": io.sequence_payload(out.mat),
         "validated_bounds": _bounds_dict(q.validated_against),
     }
-    inputs = {"f": args.f, "e": args.e, "h": args.h, "q": args.q}
-    return inputs, results, residuals, _verdict_from(residuals), None
+    return results, residuals, _verdict_from(residuals), None
 
 
 def _cmd_certify(args, tol):
@@ -236,8 +234,7 @@ def _cmd_certify(args, tol):
     budget = tol.cert_rel * max(1.0, float(np.linalg.norm(omega.mat)))
     residuals = [_residual("certificate", cert.residual, budget)]
     results = {"certificate": io.certificate_payload(cert, s_f_sqrt)}
-    inputs = {"f": args.f, "omega": args.omega}
-    return inputs, results, residuals, _verdict_from(residuals), None
+    return results, residuals, _verdict_from(residuals), None
 
 
 def _cmd_recover(args, tol):
@@ -257,10 +254,7 @@ def _cmd_recover(args, tol):
     budget = tol.cert_rel * max(1.0, float(np.linalg.norm(omega.mat)))
     residuals = [_residual("reproduction", np.linalg.norm(omega.mat - rebuilt), budget)]
     results = {"recovered": io.sequence_payload(recovered.mat)}
-    inputs = {"omega": args.omega, "cert": args.cert}
-    if args.sf_sqrt is not None:
-        inputs["sf_sqrt"] = args.sf_sqrt
-    return inputs, results, residuals, _verdict_from(residuals), None
+    return results, residuals, _verdict_from(residuals), None
 
 
 def _cmd_gamma(args, tol):
@@ -280,8 +274,7 @@ def _cmd_gamma(args, tol):
     verdict = _verdict_from(residuals)
     if not riesz and verdict == PASS:
         verdict = MEASURED
-    inputs = {"f": args.f, "omega": args.omega}
-    return inputs, results, residuals, verdict, None
+    return results, residuals, verdict, None
 
 
 def _cmd_decide(args, tol):
@@ -303,8 +296,7 @@ def _cmd_decide(args, tol):
             _residual("type1_reproduction", decision.type1_residual, tol.cert_rel),
             _residual("conjugation", decision.conjugation_residual, tol.cert_rel),
         ]
-    inputs = {"f": args.f, "omega": args.omega}
-    return inputs, results, residuals, _verdict_from(residuals), None
+    return results, residuals, _verdict_from(residuals), None
 
 
 def _cmd_represent(args, tol):
@@ -343,13 +335,7 @@ def _cmd_represent(args, tol):
         _residual("error_c", report.error_c),
         _residual("modulus_gap", report.modulus_gap),
     ]
-    inputs = {
-        "f": args.f,
-        "omega": args.omega,
-        "h": args.h if args.h is not None else "standard",
-        "h0_index": args.h0_index,
-    }
-    return inputs, results, residuals, MEASURED, None
+    return results, residuals, MEASURED, None
 
 
 def _cmd_extend(args, tol):
@@ -372,8 +358,7 @@ def _cmd_extend(args, tol):
         "extension": io.sequence_payload(ext),
         "extension_inverse": io.sequence_payload(ext_inv),
     }
-    inputs = {"phi": args.phi, "vbasis": args.vbasis}
-    return inputs, results, residuals, _verdict_from(residuals), None
+    return results, residuals, _verdict_from(residuals), None
 
 
 def _parse_sv(raw: str | None):
@@ -405,9 +390,35 @@ def _cmd_generate(args, tol):
         "rank": info.rank,
         "bounds": _bounds_dict(info.bounds),
     }
-    inputs = {"n": args.n, "kind": args.kind, "sv": sv, "seed": args.seed}
-    return inputs, results, residuals, _verdict_from(residuals), payload
+    return results, residuals, _verdict_from(residuals), payload
 
+
+def _recover_inputs(args) -> dict:
+    inputs = {"omega": args.omega, "cert": args.cert}
+    if args.sf_sqrt is not None:
+        inputs["sf_sqrt"] = args.sf_sqrt
+    return inputs
+
+
+# the report's inputs depend on the arguments alone, so a failure report
+# carries the same inputs a successful run would
+_INPUTS = {
+    "analyze": lambda a: {"seq": a.seq},
+    "rdual type1": lambda a: {"f": a.f, "e": a.e, "h": a.h},
+    "rdual type3": lambda a: {"f": a.f, "e": a.e, "h": a.h, "q": a.q},
+    "certify": lambda a: {"f": a.f, "omega": a.omega},
+    "recover": _recover_inputs,
+    "gamma": lambda a: {"f": a.f, "omega": a.omega},
+    "decide": lambda a: {"f": a.f, "omega": a.omega},
+    "represent": lambda a: {
+        "f": a.f,
+        "omega": a.omega,
+        "h": a.h if a.h is not None else "standard",
+        "h0_index": a.h0_index,
+    },
+    "extend": lambda a: {"phi": a.phi, "vbasis": a.vbasis},
+    "generate": lambda a: {"n": a.n, "kind": a.kind, "sv": _parse_sv(a.sv), "seed": a.seed},
+}
 
 _HANDLERS = {
     "analyze": _cmd_analyze,
@@ -427,18 +438,19 @@ def run(argv: list[str]) -> RunReport:
     """Parse argv, execute one command, and return its report.
 
     Usage and input-format problems raise; domain failures become a report
-    with verdict "fail" so the residual that broke is still visible.
+    with verdict "fail" and the run's inputs, so the residual that broke is
+    still visible.
     """
     args = _build_parser().parse_args(argv)
     tol = _tolerances(args)
     handler = _HANDLERS[args.key]
+    inputs = _INPUTS[args.key](args)
     out_payload = None
     try:
-        inputs, results, residuals, verdict, out_payload = handler(args, tol)
+        results, residuals, verdict, out_payload = handler(args, tol)
     except (UsageError, ParseError, ShapeError):
         raise
     except RDualError as exc:
-        inputs = {}
         results = {"error": type(exc).__name__, "message": str(exc)}
         residuals = []
         verdict = FAIL

@@ -1,16 +1,20 @@
 """Self-contained dense complex linear algebra.
 
-Two Jacobi engines live here: one-sided Jacobi for the SVD and cyclic
-two-sided Jacobi sweeps for Hermitian eigendecomposition. Both are
-deterministic, need no pivot heuristics, and keep their factor matrices
+One Jacobi engine lives here: one-sided Jacobi for the SVD. It is
+deterministic, needs no pivot heuristics, and keeps its factor matrices
 orthonormal to machine precision by construction, which is what the residual
 certificates in the rest of the package rely on.
 
 Sequence operations factor each input sequence once, by the SVD of its
 synthesis matrix (frames.FactoredSequence), and read the square roots, the
 Parsevalization and the extended square root off that SVD in closed form.
-The eigensolver only serves the helpers that take a Hermitian matrix rather
-than a sequence: psd_sqrt, psd_pinv_sqrt and rduals.validate_q.
+The helpers that take a Hermitian matrix rather than a sequence (psd_sqrt,
+psd_pinv_sqrt and rduals.validate_q) go through hermitian_eig, which runs
+the same SVD on the matrix shifted by its Frobenius norm: the shifted matrix
+is positive semidefinite, so its right singular vectors are eigenvectors of
+the original, and the eigenvalues are their Rayleigh quotients (Demmel and
+Veselic, "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
+Appl. 13(4), 1992, use one-sided Jacobi for the Hermitian eigenproblem).
 
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called here or anywhere else in the library.
@@ -34,11 +38,6 @@ from .types import (
 )
 
 _SWEEP_CAP = 30
-# off-diagonal mass below this relative level counts as diagonal
-_CONVERGED_REL = 1e-14
-# rotations with |a_pq| below this relative level are skipped; the skipped
-# mass stays far under the convergence target, so sweeps cannot stall
-_SKIP_REL = 1e-20
 # one-sided sweeps stop when every column pair is orthogonal to this
 # relative level, which bounds each normalized inner product directly
 _PAIR_REL = 1e-15
@@ -54,18 +53,16 @@ def _rotation(app: float, aqq: float, apq: complex):
     return c, t * c, u
 
 
-def _offdiag_norm(w: np.ndarray) -> float:
-    # computed directly; subtracting squared norms would cancel catastrophically
-    od = w - np.diag(np.diagonal(w))
-    return float(np.linalg.norm(od))
-
-
 def hermitian_eig(a, tol: Tolerances | None = None) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix through the one-sided Jacobi SVD.
 
-    Eigenvalues come back ascending with orthonormal eigenvector columns.
-    Raises NotHermitian when the input is not symmetric to working precision
-    and NoConvergence if the sweep cap is exhausted.
+    The shift by the Frobenius norm makes w + shift*I positive semidefinite,
+    so the right singular vectors of the shifted matrix are eigenvectors of w
+    itself; unshifted, they would only diagonalize w^2 and could mix the
+    eigenvectors of +lambda and -lambda. Eigenvalues are the Rayleigh
+    quotients, ascending, with orthonormal eigenvector columns. Raises
+    NotHermitian when the input is not symmetric to working precision and
+    NoConvergence (from svd) if the sweep cap is exhausted.
     """
     tol = tol or DEFAULT_TOL
     a = as_operator(a)
@@ -74,46 +71,11 @@ def hermitian_eig(a, tol: Tolerances | None = None) -> EigenDecomposition:
     if np.linalg.norm(a - a.conj().T) > tol.exact_rel * scale:
         raise NotHermitian("matrix is not Hermitian to working precision")
 
-    w = np.array((a + a.conj().T) / 2.0)
-    v = np.eye(n, dtype=np.complex128)
-    target = _CONVERGED_REL * scale
-    skip = _SKIP_REL * scale
-
-    for _ in range(_SWEEP_CAP):
-        if _offdiag_norm(w) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if abs(apq) <= skip:
-                    continue
-                c, s, u = _rotation(w[p, p].real, w[q, q].real, apq)
-                su = s * u
-                suc = s * np.conj(u)
-                wp = w[:, p].copy()
-                wq = w[:, q].copy()
-                w[:, p] = c * wp - suc * wq
-                w[:, q] = su * wp + c * wq
-                rp = w[p, :].copy()
-                rq = w[q, :].copy()
-                w[p, :] = c * rp - su * rq
-                w[q, :] = suc * rp + c * rq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - suc * vq
-                v[:, q] = su * vp + c * vq
-        w = (w + w.conj().T) / 2.0
-    else:
-        if _offdiag_norm(w) > target:
-            raise NoConvergence(f"Jacobi sweeps did not converge within {_SWEEP_CAP} passes")
-
-    diag = np.real(np.diagonal(w))
-    order = np.argsort(diag, kind="stable")
-    return EigenDecomposition(eigenvalues=diag[order], vectors=v[:, order])
+    w = (a + a.conj().T) / 2.0
+    v = svd(w + np.linalg.norm(w) * np.eye(n), tol).right
+    lam = np.real(np.einsum("ij,ij->j", v.conj(), w @ v))
+    order = np.argsort(lam, kind="stable")
+    return EigenDecomposition(eigenvalues=lam[order], vectors=v[:, order])
 
 
 def svd(a, tol: Tolerances | None = None) -> Svd:

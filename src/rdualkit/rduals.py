@@ -117,6 +117,15 @@ def _bounds_close(a: FrameBounds, b: FrameBounds, cert_rel: float) -> bool:
     return low_ok and up_ok
 
 
+def _aligned_bases(
+    fac_f: frames.FactoredSequence, fac_w: frames.FactoredSequence, tol: Tolerances
+) -> tuple[OrthonormalBasis, OrthonormalBasis]:
+    """e = U_f V_w^T and h = U_w V_f^T, which carry the Parsevalized f onto the Parsevalized omega."""
+    e_basis = OrthonormalBasis(VectorSeq(fac_f.dec.left @ fac_w.dec.right.T), tol=tol)
+    h_basis = OrthonormalBasis(VectorSeq(fac_w.dec.left @ fac_f.dec.right.T), tol=tol)
+    return e_basis, h_basis
+
+
 def rdual_type_I(f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis) -> VectorSeq:
     """Dual sequence whose j-th vector expands f's j-th analysis row in the h basis."""
     _require_same_dim(f.dim, e.dim, h.dim)
@@ -221,14 +230,11 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
             f" vs ({bounds_w.lower:.6g}, {bounds_w.upper:.6g})"
         )
 
-    e_mat = fac_f.dec.left @ fac_w.dec.right.T
-    h_mat = fac_w.dec.left @ fac_f.dec.right.T
-    e_basis = OrthonormalBasis(VectorSeq(e_mat), tol=tol)
-    h_basis = OrthonormalBasis(VectorSeq(h_mat), tol=tol)
+    e_basis, h_basis = _aligned_bases(fac_f, fac_w, tol)
     ext = fac_w.sqrt_ext()
 
-    coeff = e_mat.conj().T @ fac_f.parseval()
-    reproduced = ext @ h_mat @ coeff.T
+    coeff = e_basis.mat.conj().T @ fac_f.parseval()
+    reproduced = ext @ h_basis.mat @ coeff.T
     residual = float(np.linalg.norm(omega.mat - reproduced))
     budget = tol.cert_rel * max(1.0, float(np.linalg.norm(omega.mat)))
     if residual > budget:
@@ -303,8 +309,9 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
     """
     tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, omega.dim)
-    dec_f = linalg.svd(f.mat, tol)
-    dec_w = linalg.svd(omega.mat, tol)
+    fac_f = frames.FactoredSequence.of(f, tol)
+    fac_w = frames.FactoredSequence.of(omega, tol)
+    dec_f, dec_w = fac_f.dec, fac_w.dec
     spectra_f = dec_f.singulars**2
     spectra_w = dec_w.singulars**2
     gap = float(np.max(np.abs(dec_f.singulars - dec_w.singulars)))
@@ -319,11 +326,8 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
             conjugation_residual=None,
         )
 
-    e_mat = dec_f.left @ dec_w.right.T
-    h_mat = dec_w.left @ dec_f.right.T
-    e_basis = OrthonormalBasis(VectorSeq(e_mat), tol=tol)
-    h_basis = OrthonormalBasis(VectorSeq(h_mat), tol=tol)
-    reproduced = h_mat @ (e_mat.conj().T @ f.mat).T
+    e_basis, h_basis = _aligned_bases(fac_f, fac_w, tol)
+    reproduced = h_basis.mat @ (e_basis.mat.conj().T @ f.mat).T
     type1_residual = float(np.linalg.norm(omega.mat - reproduced))
 
     s_f = frames.frame_operator(f)

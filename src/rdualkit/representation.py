@@ -14,9 +14,9 @@ inner products of the Parsevalized source sequence against its first member;
 its sum is reported without any accuracy claim because away from the Parseval
 case its error can be of order one.
 
-The extended square root and its inverse are closed forms in one SVD of
-omega (frames.FactoredSequence), so building the shift family costs one
-factorization.
+The extended square root, its inverse and the span of omega are closed
+forms in one SVD of omega (frames.FactoredSequence), so building the shift
+family costs one factorization and the coefficients reuse it.
 """
 
 from __future__ import annotations
@@ -41,13 +41,15 @@ class ShiftFamily:
     """Cyclic shift plus its conjugations by the extended square root.
 
     v_ops[j] equals s_inv_sqrt_ext @ u^j @ s_sqrt_ext, with v_ops[0] the
-    identity; u itself is unitary.
+    identity; u itself is unitary. span holds orthonormal columns spanning
+    the numerical range of omega, from the same factorization.
     """
 
     u: np.ndarray
     v_ops: tuple[np.ndarray, ...]
     s_sqrt_ext: np.ndarray
     s_inv_sqrt_ext: np.ndarray
+    span: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "u", as_operator(self.u))
@@ -99,13 +101,6 @@ class RepresentationReport:
         object.__setattr__(self, "operator_c", as_operator(self.operator_c))
 
 
-def _factored(omega: VectorSeq, tol: Tolerances) -> frames.FactoredSequence:
-    fac = frames.FactoredSequence.of(omega, tol)
-    if fac.rank == 0:
-        raise ZeroSequence("the sequence spans nothing; no shift family exists")
-    return fac
-
-
 def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | None = None) -> ShiftFamily:
     """Cyclic shift on h conjugated by the extended square root of omega.
 
@@ -117,7 +112,9 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | 
     if omega.dim != h.dim:
         raise DimensionMismatch(f"dimensions differ: {omega.dim} vs {h.dim}")
     n = omega.dim
-    fac = _factored(omega, tol)
+    fac = frames.FactoredSequence.of(omega, tol)
+    if fac.rank == 0:
+        raise ZeroSequence("the sequence spans nothing; no shift family exists")
     ext = fac.sqrt_ext()
     ext_inv = fac.inv_sqrt_ext()
 
@@ -130,7 +127,7 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | 
     for _ in range(1, n):
         power = u @ power
         v_ops.append(ext_inv @ power @ ext)
-    return ShiftFamily(u=u, v_ops=tuple(v_ops), s_sqrt_ext=ext, s_inv_sqrt_ext=ext_inv)
+    return ShiftFamily(u=u, v_ops=tuple(v_ops), s_sqrt_ext=ext, s_inv_sqrt_ext=ext_inv, span=fac.span)
 
 
 def lambda_family(fam: ShiftFamily, h: OrthonormalBasis) -> list[np.ndarray]:
@@ -153,7 +150,11 @@ def coefficients(
     fam: ShiftFamily,
     tol: Tolerances | None = None,
 ) -> CoefficientReport:
-    """All three coefficient families for the pair (f, omega) under the basis h."""
+    """All three coefficient families for the pair (f, omega) under the basis h.
+
+    fam must be the shift family of omega: the p-family projects onto the
+    span it carries, so omega is not factored again.
+    """
     tol = tol or DEFAULT_TOL
     if len({f.dim, omega.dim, h.dim, fam.dim}) != 1:
         raise DimensionMismatch(
@@ -168,8 +169,7 @@ def coefficients(
     g = frames.parsevalize(f, tol)
     c = frames.gram(g)[0]
 
-    span = _factored(omega, tol).span
-    p = analysis @ (span @ (span.conj().T @ h0))
+    p = analysis @ (fam.span @ (fam.span.conj().T @ h0))
     return CoefficientReport(
         a=a,
         c=c,

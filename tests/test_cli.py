@@ -57,6 +57,16 @@ def test_rdual_type3_rejects_oversized_q(tmp_path, desk):
     report = cli.run(["rdual", "type3", desk["f"], "--e", desk["eye"], "--h", desk["eye"], "--q", big])
     assert report.verdict == "fail"
     assert report.results["error"] == "QTooLarge"
+    # a failure report keeps the inputs a successful run would report
+    assert report.inputs == {"f": desk["f"], "e": desk["eye"], "h": desk["eye"], "q": big}
+
+
+def test_certify_failure_keeps_inputs(desk, tmp_path):
+    rank_one = seq_file(tmp_path, "r1.json", np.diag([2.0, 0.0]))
+    report = cli.run(["certify", desk["f"], rank_one])
+    assert report.verdict == "fail"
+    assert report.results["error"] == "RankMismatch"
+    assert report.inputs == {"f": desk["f"], "omega": rank_one}
 
 
 def test_certify_desk_pair(desk):

@@ -8,7 +8,7 @@ fixture count internal calls as well by replacing the module attributes.
 import numpy as np
 import pytest
 
-from rdualkit import cli, generators, io, linalg, rduals, representation
+from rdualkit import cli, frames, generators, io, linalg, rduals, representation
 from rdualkit.types import OrthonormalBasis
 
 N = 8
@@ -75,8 +75,25 @@ def test_represent_pipeline_counts(counts):
     lambdas = representation.lambda_family(fam, h)
     co = representation.coefficients(f, omega, h, fam)
     representation.represent_inv_sqrt(fam, lambdas, co)
-    svd, eig = counts()
-    assert svd <= 2 * N + 4 and eig == 0
+    # f once (Parsevalization), one operator norm per Lambda_k, per prefix
+    # and for the c-family sum; omega is not factored again, so the whole
+    # pipeline costs 2N + 3
+    assert counts() == (2 * N + 2, 0)
+
+
+def test_matrix_helper_counts(counts):
+    # helpers that take a matrix, not a sequence, solve one eigenproblem,
+    # which is itself one SVD of the shifted matrix
+    f, _, _ = _pair(N)
+    s_f = frames.frame_operator(f)
+    q = np.diag(np.geomspace(1.5, 0.6, N))
+    counts()
+    linalg.psd_sqrt(s_f)
+    assert counts() == (1, 1)
+    linalg.psd_pinv_sqrt(s_f)
+    assert counts() == (1, 1)
+    rduals.validate_q(q, s_f)
+    assert counts() == (2, 1)
 
 
 def test_cli_certify_counts(counts, tmp_path, capsys):

@@ -1,11 +1,19 @@
-"""Unit tests for the Jacobi eigen/SVD engines and the PSD root helpers.
+"""Unit tests for the one-sided Jacobi SVD, the eigensolver built on it, and the PSD root helpers.
 
-numpy.linalg appears here as an independent oracle only; the library itself
-never calls it.
+hermitian_eig runs the SVD on the matrix shifted by its Frobenius norm, so
+the eigen cases here include indefinite inputs with eigenvalues +-lambda,
+which an unshifted SVD would mix. numpy.linalg appears here as an
+independent oracle only; the library itself calls no numpy.linalg function
+but norm, which the source scan below checks.
 """
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
+
+import rdualkit
 
 from rdualkit.errors import NotHermitian, NotOrthonormal, NotPsd, ShapeError, SingularAction
 from rdualkit.linalg import (
@@ -65,6 +73,19 @@ def test_eig_property_sweep():
         assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(a), atol=1e-11 * scale)
 
 
+def test_eig_signed_degenerate_spectrum():
+    # +1 and -1 each three times: the squares coincide, the eigenvectors must not mix
+    rng = np.random.default_rng(41)
+    q, _ = np.linalg.qr(rand_complex(rng, 6))
+    signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+    a = (q * signs) @ q.conj().T
+    dec = hermitian_eig(a)
+    assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(a))) <= 1e-13
+    recon = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
+    assert np.linalg.norm(a - recon) <= 1e-13 * np.linalg.norm(a)
+    assert np.linalg.norm(dec.vectors.conj().T @ dec.vectors - np.eye(6)) <= 1e-13
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -90,8 +111,10 @@ def test_psd_sqrt_monotone_on_diagonals():
 
 
 def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPsd):
-        psd_sqrt(np.diag([1.0, -1.0]))
+    # the swap matrix has eigenvalues +-1 but equal column norms and orthogonal columns
+    for a in (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(NotPsd):
+            psd_sqrt(a)
 
 
 def test_psd_pinv_sqrt_diagonal_cases():
@@ -206,3 +229,29 @@ def test_tolerances_validate():
         Tolerances(rank_rel=0.0)
     with pytest.raises(ValueError):
         Tolerances(cert_rel=1.5)
+
+
+def _is_numpy_linalg(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "linalg"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def test_library_calls_no_numpy_linalg_but_norm():
+    # keeps the numpy oracle in these tests independent of the code under test
+    for path in sorted(pathlib.Path(rdualkit.__file__).parent.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("numpy.linalg") for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                assert not node.module.startswith("numpy.linalg"), path.name
+                assert node.module != "numpy" or all(alias.name != "linalg" for alias in node.names), path.name
+        refs = [node for node in nodes if _is_numpy_linalg(node)]
+        calls = [node.attr for node in nodes if isinstance(node, ast.Attribute) and _is_numpy_linalg(node.value)]
+        # a bare np.linalg, say an alias, would hide what it calls
+        assert len(calls) == len(refs), path.name
+        assert set(calls) <= {"norm"}, (path.name, sorted(set(calls)))
