@@ -14,7 +14,19 @@ class NotPsd(RDualError):
 
 
 class NoConvergence(RDualError):
-    """An iterative sweep exceeded its iteration cap."""
+    """The Jacobi sweeps reached their cap before every column pair was orthogonal.
+
+    sweeps is the number of sweeps run; pair_measure is the largest
+    normalized pair inner product |a_pq| / sqrt(a_pp a_qq) seen in the last one.
+    """
+
+    def __init__(self, sweeps: int, pair_measure: float):
+        super().__init__(
+            f"one-sided Jacobi did not converge within {sweeps} sweeps; "
+            f"largest normalized pair inner product in the last sweep {pair_measure:.3e}"
+        )
+        self.sweeps = sweeps
+        self.pair_measure = pair_measure
 
 
 class NotOrthonormal(RDualError):

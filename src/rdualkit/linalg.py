@@ -3,7 +3,19 @@
 One Jacobi engine lives here: one-sided Jacobi for the SVD. It is
 deterministic, needs no pivot heuristics, and keeps its factor matrices
 orthonormal to machine precision by construction, which is what the residual
-certificates in the rest of the package rely on.
+certificates in the rest of the package rely on. On graded inputs such as
+B D it also finds the small singular values to high relative accuracy.
+
+Each sweep visits every column pair once, in n rounds: round d takes the
+pairs p < q with p + q = d (mod n). They touch disjoint columns, so a whole
+round is a handful of array operations on one work array whose rows are the
+columns of [A; V], and no Python loop runs per pair. The rounds apply the
+rotations of the cyclic-by-rows order as a wavefront, in the same order up
+to swaps of rotations that commute exactly. The round-robin of Brent and
+Luk ("The solution of singular-value and symmetric eigenvalue problems on
+multiprocessor arrays", SIAM J. Sci. Stat. Comput. 6(1), 1985) needs one
+round fewer per sweep, but on graded matrices D B D it lost about a decimal
+digit of relative accuracy, so it is not used.
 
 Sequence operations factor each input sequence once, by the SVD of its
 synthesis matrix (frames.FactoredSequence), and read the square roots, the
@@ -21,8 +33,6 @@ called here or anywhere else in the library.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -43,14 +53,32 @@ _SWEEP_CAP = 30
 _PAIR_REL = 1e-15
 
 
-def _rotation(app: float, aqq: float, apq: complex):
-    """Return (c, s, u) annihilating the (p, q) entry of a Hermitian 2x2 block."""
-    mod = abs(apq)
+def _rotation(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray):
+    """Return arrays (c, s, u) annihilating the (p, q) entries of Hermitian 2x2 blocks."""
+    mod = np.abs(apq)
     u = apq / mod
     tau = (aqq - app) / (2.0 * mod)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
+    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
     return c, t * c, u
+
+
+def _rounds(n: int):
+    """The first sweep's rounds and every later sweep's, as lists of (p, q) index arrays.
+
+    Round d of a sweep takes the pairs with p + q = d (mod n). A column has at
+    most one partner per round, so the pairs of a round are disjoint, and over
+    d = 1, ..., n - 1, 0 every pair comes up once. Sweep after sweep, this is
+    the cyclic-by-rows order (0,1), (0,2), ..., (n-2,n-1) with each rotation
+    moved as early as its two columns allow, which only swaps rotations on
+    disjoint columns; those commute exactly. That order reaches the pairs with
+    p + q > n late in its first sweep, so the first sweep here leaves them out.
+    """
+    p, q = np.triu_indices(n, 1)
+    s = p + q
+    first = [(p[s == d], q[s == d]) for d in range(1, n + 1)]
+    later = [(p[s % n == d], q[s % n == d]) for d in (*range(1, n), 0)]
+    return first, later
 
 
 def hermitian_eig(a, tol: Tolerances | None = None) -> EigenDecomposition:
@@ -83,7 +111,11 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
 
     Rotations orthogonalize column pairs directly (implicitly diagonalizing
     a*a), so left singular vectors stay mutually orthogonal at every scale;
-    exactly-zero columns are filled in by orthonormal completion.
+    exactly-zero columns are filled in by orthonormal completion. Each sweep
+    runs the rounds of _rounds, one set of disjoint pairs at a time, and
+    rotates only the pairs not yet orthogonal to _PAIR_REL. Raises
+    NoConvergence, with the sweeps run and the last sweep's largest
+    normalized pair inner product, if _SWEEP_CAP sweeps do not suffice.
     """
     tol = tol or DEFAULT_TOL
     a = as_operator(a)
@@ -92,36 +124,46 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
         eye = np.eye(n, dtype=np.complex128)
         return Svd(left=eye, singulars=np.zeros(n), right=eye.copy())
 
-    b = np.array(a)
-    v = np.eye(n, dtype=np.complex128)
+    # row j holds column j of [a; v], so a round gathers and scatters whole rows
+    w = np.concatenate([a.T, np.eye(n)], axis=1)
+    first, later = _rounds(n)
 
-    for _ in range(_SWEEP_CAP):
+    for sweep in range(1, _SWEEP_CAP + 1):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                bp = b[:, p]
-                bq = b[:, q]
-                apq = np.vdot(bp, bq)
-                app = np.real(np.vdot(bp, bp))
-                aqq = np.real(np.vdot(bq, bq))
-                if abs(apq) <= _PAIR_REL * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                c, s, u = _rotation(app, aqq, apq)
-                su = s * u
-                suc = s * np.conj(u)
-                bp = bp.copy()
-                b[:, p] = c * bp - suc * bq
-                b[:, q] = su * bp + c * bq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - suc * vq
-                v[:, q] = su * vp + c * vq
-        if not rotated:
+        measure = 0.0
+        for p, q in first if sweep == 1 else later:
+            bp = w[p]
+            bq = w[q]
+            xp = bp[:, :n]
+            xq = bq[:, :n]
+            apq = np.einsum("ij,ij->i", xp.conj(), xq)
+            app = np.einsum("ij,ij->i", xp.conj(), xp).real
+            aqq = np.einsum("ij,ij->i", xq.conj(), xq).real
+            mod = np.abs(apq)
+            root = np.sqrt(app * aqq)
+            sel = np.flatnonzero(mod > _PAIR_REL * root)
+            if sel.size == 0:
+                continue
+            rotated = True
+            # NoConvergence reports the last sweep only, so earlier sweeps skip the ratio
+            if sweep == _SWEEP_CAP:
+                measure = max(measure, float(np.max(mod[sel] / root[sel])))
+            if sel.size < p.size:
+                p, q, bp, bq = p[sel], q[sel], bp[sel], bq[sel]
+                app, aqq, apq = app[sel], aqq[sel], apq[sel]
+            c, s, u = _rotation(app, aqq, apq)
+            c = c[:, None]
+            su = (s * u)[:, None]
+            w[p] = c * bp - su.conj() * bq
+            w[q] = su * bp + c * bq
+        # the first sweep skips some pairs, so only a later quiet sweep proves convergence
+        if not rotated and sweep > 1:
             break
     else:
-        raise NoConvergence(f"one-sided Jacobi did not converge within {_SWEEP_CAP} sweeps")
+        raise NoConvergence(sweep, measure)
 
+    b = w[:, :n].T
+    v = w[:, n:].T
     norms = np.sqrt(np.real(np.einsum("ij,ij->j", b.conj(), b)))
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]

@@ -302,7 +302,9 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
 
     In the square model the decision reduces to agreement of the full
     singular-value multisets (zeros included, which carries the kernel
-    dimension condition). On success the aligned bases reproduce omega and an
+    dimension condition), to cert_rel relative to the larger of the two
+    largest singular values, so the verdict is the same for (c f, c omega)
+    at every scale c. On success the aligned bases reproduce omega and an
     antiunitary witness conjugates one frame operator into the other; its
     unitary part U_w U_f^T maps the left singular vectors of f, conjugated,
     onto those of omega.
@@ -315,7 +317,7 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
     spectra_f = dec_f.singulars**2
     spectra_w = dec_w.singulars**2
     gap = float(np.max(np.abs(dec_f.singulars - dec_w.singulars)))
-    if gap > tol.cert_rel * max(1.0, float(dec_f.singulars[0])):
+    if gap > tol.cert_rel * max(float(dec_f.singulars[0]), float(dec_w.singulars[0])):
         return PairDecision(
             is_pair=False,
             spectra_f=spectra_f,

@@ -42,7 +42,8 @@ class ShiftFamily:
 
     v_ops[j] equals s_inv_sqrt_ext @ u^j @ s_sqrt_ext, with v_ops[0] the
     identity; u itself is unitary. span holds orthonormal columns spanning
-    the numerical range of omega, from the same factorization.
+    the numerical range of omega, from the same factorization, and source
+    is the synthesis matrix of that omega.
     """
 
     u: np.ndarray
@@ -50,6 +51,7 @@ class ShiftFamily:
     s_sqrt_ext: np.ndarray
     s_inv_sqrt_ext: np.ndarray
     span: np.ndarray
+    source: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "u", as_operator(self.u))
@@ -127,7 +129,9 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | 
     for _ in range(1, n):
         power = u @ power
         v_ops.append(ext_inv @ power @ ext)
-    return ShiftFamily(u=u, v_ops=tuple(v_ops), s_sqrt_ext=ext, s_inv_sqrt_ext=ext_inv, span=fac.span)
+    return ShiftFamily(
+        u=u, v_ops=tuple(v_ops), s_sqrt_ext=ext, s_inv_sqrt_ext=ext_inv, span=fac.span, source=omega.mat
+    )
 
 
 def lambda_family(fam: ShiftFamily, h: OrthonormalBasis) -> list[np.ndarray]:
@@ -153,13 +157,16 @@ def coefficients(
     """All three coefficient families for the pair (f, omega) under the basis h.
 
     fam must be the shift family of omega: the p-family projects onto the
-    span it carries, so omega is not factored again.
+    span it carries, so omega is not factored again. Another omega raises
+    CertificationFailed.
     """
     tol = tol or DEFAULT_TOL
     if len({f.dim, omega.dim, h.dim, fam.dim}) != 1:
         raise DimensionMismatch(
             f"dimensions differ: {f.dim}, {omega.dim}, {h.dim}, {fam.dim}"
         )
+    if not np.array_equal(omega.mat, fam.source):
+        raise CertificationFailed("omega is not the sequence the shift family was built from")
     if np.linalg.norm(f.mat) == 0.0:
         raise ZeroSequence("the source sequence is zero; its coefficients vanish")
     h0 = h.mat[:, 0]

@@ -1,10 +1,16 @@
 """Unit tests for the one-sided Jacobi SVD, the eigensolver built on it, and the PSD root helpers.
 
-hermitian_eig runs the SVD on the matrix shifted by its Frobenius norm, so
-the eigen cases here include indefinite inputs with eigenvalues +-lambda,
-which an unshifted SVD would mix. numpy.linalg appears here as an
-independent oracle only; the library itself calls no numpy.linalg function
-but norm, which the source scan below checks.
+The SVD runs its sweeps as rounds of disjoint column pairs, so the edge
+cases here are the sizes with no pair (n = 1), a single pair (n = 2) and a
+column left out of every round (odd n), exact zero columns that are never
+rotated, and a pair the first sweep skips. A one-pair-at-a-time
+cyclic-by-rows loop is kept here as the reference the rounds must match,
+and graded inputs are checked against a 50-digit mpmath SVD for relative
+accuracy of every singular value. hermitian_eig runs the SVD on the matrix
+shifted by its Frobenius norm, so the eigen cases here include indefinite
+inputs with eigenvalues +-lambda, which an unshifted SVD would mix.
+numpy.linalg appears here as an independent oracle only; the library itself
+calls no numpy.linalg function but norm, which the source scan below checks.
 """
 
 import ast
@@ -15,7 +21,9 @@ import pytest
 
 import rdualkit
 
-from rdualkit.errors import NotHermitian, NotOrthonormal, NotPsd, ShapeError, SingularAction
+from rdualkit import linalg
+from rdualkit.errors import NoConvergence, NotHermitian, NotOrthonormal, NotPsd, ShapeError, SingularAction
+from rdualkit.generators import generate_sequence
 from rdualkit.linalg import (
     complete_to_onb,
     hermitian_eig,
@@ -176,6 +184,111 @@ def test_svd_property_sweep():
         # cross-oracle on the spectrum of a*a
         lam = np.sqrt(np.clip(np.linalg.eigvalsh(a.conj().T @ a)[::-1], 0.0, None))
         assert np.max(np.abs(dec.singulars - lam)) <= 1e-10 * scale
+
+
+def _graded_matrices():
+    for n in (8, 12, 16):
+        b = generate_sequence(n, "spectrum", np.geomspace(2.0, 0.5, n), seed=n).mat
+        for kappa in (1e4, 1e8, 1e12):
+            d = np.geomspace(1.0, 1.0 / kappa, n)
+            yield b * d
+            yield d[:, None] * b * d
+            # rows graded against the columns: numpy.linalg.svd loses up to 1e-4 relative here
+            yield d[::-1, None] * b * d
+
+
+def test_svd_graded_relative_accuracy():
+    # one-sided Jacobi gets even the smallest singular value of B D and D1 B D2
+    # to high relative accuracy when B is well conditioned (Demmel and Veselic 1992);
+    # the pair order matters: a Brent-Luk round-robin reaches 1.1e-13 on D B D
+    mpmath = pytest.importorskip("mpmath")
+    for a in _graded_matrices():
+        with mpmath.workdps(50):
+            exact = mpmath.svd_c(mpmath.matrix(a.tolist()), compute_uv=False)
+            exact = np.sort([float(x) for x in exact])[::-1]
+        assert np.max(np.abs(svd(a).singulars / exact - 1.0)) <= 1e-13
+
+
+def test_svd_rounds_edge_cases():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 7):
+        a = rand_complex(rng, n)
+        dec = svd(a)
+        recon = (dec.left * dec.singulars) @ dec.right.conj().T
+        assert np.linalg.norm(a - recon) <= 1e-13 * np.linalg.norm(a)
+        assert np.linalg.norm(dec.left.conj().T @ dec.left - np.eye(n)) <= 1e-13
+        assert np.linalg.norm(dec.right.conj().T @ dec.right - np.eye(n)) <= 1e-13
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(dec.singulars - ref)) <= 1e-14 * ref[0]
+
+    # a zero column is never rotated, so its right vector stays the unit vector
+    a = rand_complex(rng, 7)
+    a[:, 3] = 0.0
+    dec = svd(a)
+    assert dec.singulars[-1] == 0.0
+    assert np.array_equal(dec.right[:, -1], np.eye(7)[:, 3])
+    recon = (dec.left * dec.singulars) @ dec.right.conj().T
+    assert np.linalg.norm(a - recon) <= 1e-13 * np.linalg.norm(a)
+
+    # the first sweep leaves out pairs with p + q > n, here (2, 3), the only pair to rotate
+    a = np.eye(4)
+    a[2, 3] = 1.0
+    golden = (1.0 + np.sqrt(5.0)) / 2.0
+    assert np.allclose(svd(a).singulars, [golden, 1.0, 1.0, 1.0 / golden], rtol=0.0, atol=1e-15)
+
+
+def _cyclic_by_rows(a):
+    """Reference: one-sided Jacobi visiting (0,1), (0,2), ..., (n-2,n-1) one pair at a time."""
+    n = a.shape[0]
+    b = np.array(a, dtype=complex)
+    v = np.eye(n, dtype=complex)
+    for _ in range(30):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = np.vdot(b[:, p], b[:, q])
+                app = np.vdot(b[:, p], b[:, p]).real
+                aqq = np.vdot(b[:, q], b[:, q]).real
+                if abs(apq) <= linalg._PAIR_REL * np.sqrt(app * aqq):
+                    continue
+                rotated = True
+                tau = (aqq - app) / (2.0 * abs(apq))
+                t = np.copysign(1.0, tau) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                su = t * c * apq / abs(apq)
+                for m in (b, v):
+                    mp = m[:, p].copy()
+                    m[:, p] = c * mp - np.conj(su) * m[:, q]
+                    m[:, q] = su * mp + c * m[:, q]
+        if not rotated:
+            break
+    norms = np.linalg.norm(b, axis=0)
+    order = np.argsort(-norms, kind="stable")
+    return norms[order], v[:, order]
+
+
+def test_svd_matches_the_cyclic_by_rows_loop():
+    # the rounds reorder only rotations on disjoint columns, so the factors agree to rounding
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 5, 8, 13):
+        a = rand_complex(rng, n)
+        if n > 2:
+            a[:, 1] = 0.0
+        singulars, right = _cyclic_by_rows(a)
+        dec = svd(a)
+        assert np.max(np.abs(dec.singulars - singulars)) <= 1e-14 * singulars[0]
+        assert np.max(np.abs(dec.right - right)) <= 1e-12
+
+
+def test_svd_no_convergence_reports_progress(monkeypatch):
+    monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
+    with pytest.raises(NoConvergence) as info:
+        svd(rand_complex(np.random.default_rng(23), 16))
+    err = info.value
+    assert err.sweeps == 1
+    assert linalg._PAIR_REL < err.pair_measure <= 1.0 + 1e-12
+    assert "1 sweeps" in str(err)
+    assert f"{err.pair_measure:.3e}" in str(err)
 
 
 def test_numerical_rank_threshold():

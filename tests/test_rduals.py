@@ -311,6 +311,18 @@ def test_decide_spectrum_mismatch():
     assert decision.witness is None and decision.bases is None
 
 
+def test_decide_is_scale_invariant():
+    # the gap is judged relative to the inputs' own scale, not against max(1, sigma_max)
+    assert not rduals.decide_type_I_pair(VectorSeq(1e-12 * np.eye(3)), VectorSeq(3e-12 * np.eye(3))).is_pair
+    sv = np.geomspace(2.0, 0.5, 8)
+    omega = generators.generate_sequence(8, "spectrum", sv, seed=1).mat
+    f_pair = generators.generate_sequence(8, "spectrum", sv, seed=2).mat
+    f_off = generators.generate_sequence(8, "spectrum", sv * (1.0 + 1e-3), seed=3).mat
+    for c in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        assert rduals.decide_type_I_pair(VectorSeq(c * f_pair), VectorSeq(c * omega)).is_pair, c
+        assert not rduals.decide_type_I_pair(VectorSeq(c * f_off), VectorSeq(c * omega)).is_pair, c
+
+
 def test_decide_handles_rank_deficiency():
     rng = np.random.default_rng(305)
     f, w = matched_pair(rng, 5, 3)

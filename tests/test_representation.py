@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdualkit import frames, linalg, rduals, representation
-from rdualkit.errors import DimensionMismatch, ZeroSequence
+from rdualkit.errors import CertificationFailed, DimensionMismatch, ZeroSequence
 from rdualkit.types import OrthonormalBasis, VectorSeq
 
 
@@ -161,6 +161,16 @@ def test_coefficients_rejects_zero_source():
     fam = representation.build_shift_family(eye, h)
     with pytest.raises(ZeroSequence):
         representation.coefficients(VectorSeq(np.zeros((2, 2))), eye, h, fam)
+
+
+def test_coefficients_rejects_another_omega():
+    # the p-family comes from fam's span, so an omega fam was not built from must not pass
+    eye = VectorSeq(np.eye(2))
+    h = std_basis(2)
+    fam = representation.build_shift_family(eye, h)
+    other = VectorSeq(np.diag([1.0, 0.0]))
+    with pytest.raises(CertificationFailed):
+        representation.coefficients(eye, other, h, fam)
 
 
 def test_bessel_bound_trivial_cases():
