@@ -21,7 +21,6 @@ from . import extension, frames, generators, io, linalg, rduals, representation
 from .errors import ParseError, RDualError, ShapeError, UsageError
 from .types import (
     OrthonormalBasis,
-    RIESZ_BASIS,
     SubspaceOperator,
     Tolerances,
     VectorSeq,
@@ -78,6 +77,10 @@ def _verdict_from(residuals: list) -> str:
 
 def _complex_list(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
+
+
+def _factored(path: str, tol: Tolerances) -> frames.FactoredSequence:
+    return frames.FactoredSequence.of(io.parse_sequence(path), tol)
 
 
 def _basis_from_file(path: str, tol: Tolerances) -> OrthonormalBasis:
@@ -183,7 +186,7 @@ def _tolerances(args) -> Tolerances:
 
 
 def _cmd_analyze(args, tol):
-    seq = io.parse_sequence(args.seq)
+    seq = _factored(args.seq, tol)
     info = frames.classify(seq, tol)
     results = {
         "dimension": seq.dim,
@@ -195,11 +198,11 @@ def _cmd_analyze(args, tol):
 
 
 def _cmd_rdual_type1(args, tol):
-    f = io.parse_sequence(args.f)
+    f = _factored(args.f, tol)
     e = _basis_from_file(args.e, tol)
     h = _basis_from_file(args.h, tol)
     out = rduals.rdual_type_I(f, e, h)
-    sv_f = linalg.svd(f.mat, tol).singulars
+    sv_f = f.dec.singulars
     sv_w = linalg.svd(out.mat, tol).singulars
     residuals = [_residual("singular_transfer", np.max(np.abs(sv_f - sv_w)), 1e-10)]
     results = {"omega": io.sequence_payload(out.mat)}
@@ -207,13 +210,13 @@ def _cmd_rdual_type1(args, tol):
 
 
 def _cmd_rdual_type3(args, tol):
-    f = io.parse_sequence(args.f)
+    f = _factored(args.f, tol)
     e = _basis_from_file(args.e, tol)
     h = _basis_from_file(args.h, tol)
     q_mat = io.parse_sequence(args.q).mat
-    q = rduals.validate_q(q_mat, frames.frame_operator(f), tol)
+    q = rduals.validate_q(q_mat, f, tol)
     out = rduals.rdual_type_III(f, e, h, q, tol)
-    bf = frames.optimal_bounds(f, tol)
+    bf = q.validated_against
     bw = frames.optimal_bounds(out, tol)
     residuals = [
         _residual("lower_bound_transfer", abs(bf.lower - bw.lower), 1e-9),
@@ -227,10 +230,10 @@ def _cmd_rdual_type3(args, tol):
 
 
 def _cmd_certify(args, tol):
-    f = io.parse_sequence(args.f)
-    omega = io.parse_sequence(args.omega)
+    f = _factored(args.f, tol)
+    omega = _factored(args.omega, tol)
     cert = rduals.certify_symmetrical_pair(f, omega, tol)
-    s_f_sqrt = frames.FactoredSequence.of(f, tol).sqrt()
+    s_f_sqrt = f.sqrt()
     budget = tol.cert_rel * max(1.0, float(np.linalg.norm(omega.mat)))
     residuals = [_residual("certificate", cert.residual, budget)]
     results = {"certificate": io.certificate_payload(cert, s_f_sqrt)}
@@ -258,13 +261,13 @@ def _cmd_recover(args, tol):
 
 
 def _cmd_gamma(args, tol):
-    f = io.parse_sequence(args.f)
-    omega = io.parse_sequence(args.omega)
+    f = _factored(args.f, tol)
+    omega = _factored(args.omega, tol)
     cert = rduals.certify_symmetrical_pair(f, omega, tol)
     gam = rduals.gamma_sequence(f, cert, tol)
     biorth = float(np.linalg.norm(frames.cross_gram(omega, gam) - np.eye(omega.dim)))
     coeff_gap = rduals.coefficient_identity_check(f, omega, cert, tol)
-    riesz = frames.classify(omega, tol).kind == RIESZ_BASIS
+    riesz = omega.rank == omega.dim
     residuals = [
         _residual("biorthogonality", biorth, tol.cert_rel if riesz else None),
         _residual("coefficient_identity", coeff_gap, tol.cert_rel),
@@ -278,8 +281,8 @@ def _cmd_gamma(args, tol):
 
 
 def _cmd_decide(args, tol):
-    f = io.parse_sequence(args.f)
-    omega = io.parse_sequence(args.omega)
+    f = _factored(args.f, tol)
+    omega = _factored(args.omega, tol)
     decision = rduals.decide_type_I_pair(f, omega, tol)
     results = {
         "is_pair": decision.is_pair,
@@ -292,16 +295,19 @@ def _cmd_decide(args, tol):
         results["e_basis"] = io.sequence_payload(e_basis.mat)
         results["h_basis"] = io.sequence_payload(h_basis.mat)
         results["witness_unitary"] = io.sequence_payload(decision.witness.unitary_part)
+        # the reproduction error scales as sigma_max, the conjugation error, a
+        # frame-operator quantity, as sigma_max^2
+        sigma_max_sq = max(float(decision.spectra_f[0]), float(decision.spectra_omega[0]))
         residuals = [
-            _residual("type1_reproduction", decision.type1_residual, tol.cert_rel),
-            _residual("conjugation", decision.conjugation_residual, tol.cert_rel),
+            _residual("type1_reproduction", decision.type1_residual, tol.cert_rel * np.sqrt(sigma_max_sq)),
+            _residual("conjugation", decision.conjugation_residual, tol.cert_rel * sigma_max_sq),
         ]
     return results, residuals, _verdict_from(residuals), None
 
 
 def _cmd_represent(args, tol):
-    f = io.parse_sequence(args.f)
-    omega = io.parse_sequence(args.omega)
+    f = _factored(args.f, tol)
+    omega = _factored(args.omega, tol)
     if args.h is not None:
         h_mat = io.parse_sequence(args.h).mat
     else:
@@ -372,7 +378,7 @@ def _parse_sv(raw: str | None):
 
 def _cmd_generate(args, tol):
     sv = _parse_sv(args.sv)
-    seq = generators.generate_sequence(args.n, args.kind, sv, args.seed)
+    seq = frames.FactoredSequence.of(generators.generate_sequence(args.n, args.kind, sv, args.seed), tol)
     label = f"{args.kind} n={args.n} seed={args.seed}"
     payload = io.sequence_payload(seq.mat, label=label)
     info = frames.classify(seq, tol)
@@ -381,7 +387,7 @@ def _cmd_generate(args, tol):
     else:
         target = np.zeros(args.n)
         target[: len(sv)] = np.sort(np.asarray(sv))[::-1]
-        got = linalg.svd(seq.mat, tol).singulars
+        got = seq.dec.singulars
         check = _residual("singular_match", np.max(np.abs(got - target)), 1e-10)
     residuals = [check]
     results = {

@@ -8,7 +8,8 @@ nonzero eigenvalues of the frame operator.
 
 Every operation factors each input sequence once, by one SVD of its synthesis
 matrix (FactoredSequence), and reads ranks, bounds and the derived operators
-off that factorization in closed form.
+off that factorization in closed form. A FactoredSequence is a VectorSeq,
+so every operation takes it in place of the sequence and factors it no more.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def cross_gram(f: VectorSeq, g: VectorSeq) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FactoredSequence:
-    """One SVD T = U diag(sigma) V^H of a synthesis matrix, with its rank.
+class FactoredSequence(VectorSeq):
+    """A sequence with one SVD T = U diag(sigma) V^H of its synthesis matrix, and its rank.
 
     The frame operator is S = T T^H = U diag(sigma^2) U^H, so its square
     root, the Parsevalization, the canonical dual and the extended square
@@ -65,8 +66,9 @@ class FactoredSequence:
 
     @classmethod
     def of(cls, s: VectorSeq, tol: Tolerances) -> "FactoredSequence":
-        dec = linalg.svd(s.mat, tol)
-        return cls(dec=dec, rank=linalg.numerical_rank(dec.singulars, tol.rank_rel))
+        """Factor s, or reuse its SVD when s is already factored; the rank is taken at tol."""
+        dec = s.dec if isinstance(s, FactoredSequence) else linalg.svd(s.mat, tol)
+        return cls(mat=s.mat, dec=dec, rank=linalg.numerical_rank(dec.singulars, tol.rank_rel))
 
     @property
     def span(self) -> np.ndarray:

@@ -21,7 +21,7 @@ Sequence operations factor each input sequence once, by the SVD of its
 synthesis matrix (frames.FactoredSequence), and read the square roots, the
 Parsevalization and the extended square root off that SVD in closed form.
 The helpers that take a Hermitian matrix rather than a sequence (psd_sqrt,
-psd_pinv_sqrt and rduals.validate_q) go through hermitian_eig, which runs
+psd_pinv_sqrt; no operation calls them) go through hermitian_eig, which runs
 the same SVD on the matrix shifted by its Frobenius norm: the shifted matrix
 is positive semidefinite, so its right singular vectors are eigenvectors of
 the original, and the eigenvalues are their Rayleigh quotients (Demmel and
@@ -113,19 +113,28 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
     a*a), so left singular vectors stay mutually orthogonal at every scale;
     exactly-zero columns are filled in by orthonormal completion. Each sweep
     runs the rounds of _rounds, one set of disjoint pairs at a time, and
-    rotates only the pairs not yet orthogonal to _PAIR_REL. Raises
-    NoConvergence, with the sweeps run and the last sweep's largest
-    normalized pair inner product, if _SWEEP_CAP sweeps do not suffice.
+    rotates only the pairs not yet orthogonal to _PAIR_REL. The sweeps run
+    on a times the power of two 2^-e that brings its largest entry into
+    [1/2, 1), and the singular values are scaled back by 2^e. Both scalings
+    are exact, so a and 2^k a take the same rotations, and the squared
+    column norms stay below n: they cannot overflow, and underflow only in
+    columns tiny against the largest entry. Raises NoConvergence, with the
+    sweeps run and the last sweep's largest normalized pair inner product,
+    if _SWEEP_CAP sweeps do not suffice.
     """
     tol = tol or DEFAULT_TOL
     a = as_operator(a)
     n = a.shape[0]
-    if np.linalg.norm(a) == 0.0:
+    amax = np.max(np.abs(a))
+    if amax == 0.0:
         eye = np.eye(n, dtype=np.complex128)
         return Svd(left=eye, singulars=np.zeros(n), right=eye.copy())
+    _, e = np.frexp(amax)
+    # ldexp takes real arrays only, so scale the real and imaginary parts as one float view
+    scaled = np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128)
 
     # row j holds column j of [a; v], so a round gathers and scatters whole rows
-    w = np.concatenate([a.T, np.eye(n)], axis=1)
+    w = np.concatenate([scaled.T, np.eye(n)], axis=1)
     first, later = _rounds(n)
 
     for sweep in range(1, _SWEEP_CAP + 1):
@@ -180,7 +189,7 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
             break
     if filled < n:
         left = _complete_columns(left[:, :filled])
-    return Svd(left=left, singulars=norms, right=v)
+    return Svd(left=left, singulars=np.ldexp(norms, e), right=v)
 
 
 def operator_norm(a, tol: Tolerances | None = None) -> float:

@@ -10,8 +10,8 @@ root reproducing the dual sequence column by column.
 
 Each operation factors every input sequence once (frames.FactoredSequence)
 and builds the bases, the extended square root and the pair witness from
-those SVDs in closed form; no eigendecomposition runs here except inside
-validate_q, which takes a frame operator rather than a sequence.
+those SVDs in closed form; no eigendecomposition runs here. validate_q
+reads the frame bounds of f off the same factorization.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     CertificationFailed,
     DimensionMismatch,
     NotHermitian,
-    NotPsd,
     QInverseTooLarge,
     QSingular,
     QTooLarge,
@@ -111,9 +110,12 @@ def _require_same_dim(*dims: int):
 
 
 def _bounds_close(a: FrameBounds, b: FrameBounds, cert_rel: float) -> bool:
-    # relative comparison against the larger value of each pair
-    low_ok = abs(a.lower - b.lower) <= cert_rel * max(a.lower, b.lower)
-    up_ok = abs(a.upper - b.upper) <= cert_rel * max(a.upper, b.upper)
+    # the bounds are sigma_r^2 and sigma_1^2, and an SVD finds every sigma to
+    # an absolute error of order eps * sigma_1, so compare the square roots
+    # against the larger sigma_1, the error model of decide_type_I_pair's gap
+    scale = cert_rel * np.sqrt(max(a.upper, b.upper))
+    low_ok = abs(np.sqrt(a.lower) - np.sqrt(b.lower)) <= scale
+    up_ok = abs(np.sqrt(a.upper) - np.sqrt(b.upper)) <= scale
     return low_ok and up_ok
 
 
@@ -133,37 +135,32 @@ def rdual_type_I(f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis) -> Vect
     return VectorSeq(h.mat @ coeff.T)
 
 
-def validate_q(q, s_f, tol: Tolerances | None = None) -> QOperator:
-    """Check the two norm inequalities tying Q to the frame operator s_f.
+def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
+    """Check the two norm inequalities tying Q to the optimal frame bounds of f.
 
-    norm(Q) may not exceed the square root of the largest eigenvalue and
-    norm(Q^-1) may not exceed the square root of the inverse smallest nonzero
-    eigenvalue; a (1 + cert_rel) slack absorbs roundoff at the boundary.
+    norm(Q) may not exceed the square root of the upper bound and
+    norm(Q^-1) may not exceed the square root of the inverse lower bound; a
+    (1 + cert_rel) slack absorbs roundoff at the boundary. The bounds come
+    from the one SVD of f (frames.FactoredSequence), at its rank threshold.
     """
     tol = tol or DEFAULT_TOL
     q = as_operator(q)
-    dec = linalg.hermitian_eig(s_f, tol)
-    lam = dec.eigenvalues
-    scale = max(abs(lam[0]), abs(lam[-1]))
-    if lam[-1] <= 0.0:
-        raise ZeroSequence("the frame operator is zero; no Q can be validated")
-    if lam[0] < -tol.rank_rel * scale:
-        raise NotPsd("s_f must be positive semidefinite")
-    nonzero = lam[lam > tol.rank_rel * lam[-1]]
-    upper = float(lam[-1])
-    lower = float(nonzero[0])
+    fac = frames.FactoredSequence.of(f, tol)
+    if fac.rank == 0:
+        raise ZeroSequence("f is the zero sequence; no Q can be validated")
+    bounds = fac.bounds()
 
     sv = linalg.svd(q, tol).singulars
     if sv[0] <= 0.0 or sv[-1] <= tol.rank_rel * sv[0]:
         raise QSingular("Q is singular at the working rank threshold")
     slack = 1.0 + tol.cert_rel
-    if sv[0] > np.sqrt(upper) * slack:
-        raise QTooLarge(f"norm(Q) = {sv[0]:.6g} exceeds sqrt(upper bound) = {np.sqrt(upper):.6g}")
-    if 1.0 / sv[-1] > slack / np.sqrt(lower):
+    if sv[0] > np.sqrt(bounds.upper) * slack:
+        raise QTooLarge(f"norm(Q) = {sv[0]:.6g} exceeds sqrt(upper bound) = {np.sqrt(bounds.upper):.6g}")
+    if 1.0 / sv[-1] > slack / np.sqrt(bounds.lower):
         raise QInverseTooLarge(
-            f"norm(Q^-1) = {1.0 / sv[-1]:.6g} exceeds sqrt(1/lower bound) = {1.0 / np.sqrt(lower):.6g}"
+            f"norm(Q^-1) = {1.0 / sv[-1]:.6g} exceeds sqrt(1/lower bound) = {1.0 / np.sqrt(bounds.lower):.6g}"
         )
-    return QOperator(q=q, validated_against=FrameBounds(lower=lower, upper=upper))
+    return QOperator(q=q, validated_against=bounds)
 
 
 def rdual_type_III(

@@ -72,18 +72,18 @@ def test_criterion_2_type_III_round_trip():
             q_mat = onb_mat(rng, n)
         else:
             q_mat = np.diag(np.linspace(np.sqrt(b.upper), np.sqrt(b.lower), n))
-        q = rduals.validate_q(q_mat, s_f)
+        q = rduals.validate_q(q_mat, f)
         e, h = onb(rng, n), onb(rng, n)
         omega = rduals.rdual_type_III(f, e, h, q)
         back = rduals.recover_type_III(omega, e, h, q, linalg.psd_sqrt(s_f))
         assert np.max(np.abs(back.mat - f.mat)) <= 1e-9
-    s_f = np.diag([4.0, 1.0])
+    f = VectorSeq(np.diag([2.0, 1.0]))
     with pytest.raises(QTooLarge):
-        rduals.validate_q(np.diag([3.0, 1.0]), s_f)
+        rduals.validate_q(np.diag([3.0, 1.0]), f)
     with pytest.raises(QInverseTooLarge):
-        rduals.validate_q(np.diag([2.0, 0.5]), s_f)
+        rduals.validate_q(np.diag([2.0, 0.5]), f)
     with pytest.raises(QSingular):
-        rduals.validate_q(np.diag([2.0, 0.0]), s_f)
+        rduals.validate_q(np.diag([2.0, 0.0]), f)
     print("PASS criterion 2: type-III round trips recover the source; Q gates fire")
 
 

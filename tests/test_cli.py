@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from rdualkit import cli, io
+from rdualkit import cli, generators, io, rduals
 from rdualkit.errors import UsageError
+from rdualkit.types import OrthonormalBasis
 
 
 def seq_file(tmp_path, name, mat, label=None):
@@ -124,6 +125,24 @@ def test_decide_mismatch(desk, tmp_path):
     report = cli.run(["decide", desk["f"], other])
     assert report.verdict == "pass"
     assert report.results["is_pair"] is False
+
+
+def test_decide_gates_scale_with_the_pair(tmp_path):
+    # a genuine pair's residuals grow as sigma_max and sigma_max^2, and so do the gates
+    sv = np.geomspace(2.0, 0.5, 6)
+    f = generators.generate_sequence(6, "spectrum", sv, seed=1)
+    e = OrthonormalBasis(generators.generate_sequence(6, "onb", seed=2))
+    h = OrthonormalBasis(generators.generate_sequence(6, "onb", seed=3))
+    omega = rduals.rdual_type_I(f, e, h).mat
+    moved = sv.copy()
+    moved[2] *= 1.0 + 1e-3
+    f_off = generators.generate_sequence(6, "spectrum", moved, seed=4).mat
+    for c in (1e-8, 1.0, 1e3, 1e8):
+        paths = [seq_file(tmp_path, name, c * mat) for name, mat in (("f", f.mat), ("w", omega), ("o", f_off))]
+        report = cli.run(["decide", paths[0], paths[1]])
+        assert report.results["is_pair"] is True and report.verdict == "pass", c
+        report = cli.run(["decide", paths[2], paths[1]])
+        assert report.results["is_pair"] is False, c
 
 
 def test_represent_desk_pair(desk):

@@ -83,7 +83,8 @@ def test_represent_pipeline_counts(counts):
 
 def test_matrix_helper_counts(counts):
     # helpers that take a matrix, not a sequence, solve one eigenproblem,
-    # which is itself one SVD of the shifted matrix
+    # which is itself one SVD of the shifted matrix; validate_q takes the
+    # sequence and reads its bounds off one SVD
     f, _, _ = _pair(N)
     s_f = frames.frame_operator(f)
     q = np.diag(np.geomspace(1.5, 0.6, N))
@@ -92,8 +93,8 @@ def test_matrix_helper_counts(counts):
     assert counts() == (1, 1)
     linalg.psd_pinv_sqrt(s_f)
     assert counts() == (1, 1)
-    rduals.validate_q(q, s_f)
-    assert counts() == (2, 1)
+    rduals.validate_q(q, f)
+    assert counts() == (2, 0)
 
 
 def test_cli_certify_counts(counts, tmp_path, capsys):
@@ -104,6 +105,65 @@ def test_cli_certify_counts(counts, tmp_path, capsys):
         io.write_json(paths[-1], io.sequence_payload(seq.mat))
     counts()
     assert cli.main(["certify", *paths]) == 0
-    svd, eig = counts()
-    assert svd <= 3 and eig == 0
+    assert counts() == (2, 0)
     assert '"verdict": "pass"' in capsys.readouterr().out
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """Input files for every subcommand, and a certificate bundle for recover."""
+    f, omega, f_off = _pair(N)
+    k = N - 2
+    sv = np.geomspace(2.0, 0.5, N)
+    mats = {
+        "f": f.mat,
+        "omega": omega.mat,
+        "f_off": f_off.mat,
+        "e": _onb(50).mat,
+        "h": _onb(51).mat,
+        # Q with the singular values of f fits its bounds; twice that does not
+        "q": generators.generate_sequence(N, "spectrum", sv, seed=52).mat,
+        "q_big": generators.generate_sequence(N, "spectrum", 2.0 * sv, seed=52).mat,
+        "phi": generators.generate_sequence(k, "spectrum", np.geomspace(3.0, 0.5, k), seed=53).mat,
+        "vbasis": _onb(54).mat[:, :k],
+    }
+    paths = {}
+    for name, mat in mats.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        io.write_json(paths[name], io.sequence_payload(mat))
+    paths["cert"] = str(tmp_path / "cert.json")
+    assert cli.run(["certify", paths["f"], paths["omega"], "--out", paths["cert"]]).verdict == "pass"
+    return paths
+
+
+# argv, SVDs and verdict per subcommand; certify is gated above. Each input
+# sequence is factored once; recover factors the bundle's extended root and
+# the recovered sequence, gamma inverts the extended root twice, and extend
+# factors the action three times and takes two operator norms
+CLI_CASES = {
+    "analyze": (lambda p: ["analyze", p["f"]], 1, "pass"),
+    "rdual type1": (lambda p: ["rdual", "type1", p["f"], "--e", p["e"], "--h", p["h"]], 2, "pass"),
+    "rdual type3": (lambda p: ["rdual", "type3", p["f"], "--e", p["e"], "--h", p["h"], "--q", p["q"]], 3, "pass"),
+    "rdual type3 oversized q": (
+        lambda p: ["rdual", "type3", p["f"], "--e", p["e"], "--h", p["h"], "--q", p["q_big"]],
+        2,
+        "fail",
+    ),
+    "recover": (lambda p: ["recover", p["omega"], "--cert", p["cert"]], 2, "pass"),
+    "gamma": (lambda p: ["gamma", p["f"], p["omega"]], 4, "pass"),
+    "decide pair": (lambda p: ["decide", p["f"], p["omega"]], 2, "pass"),
+    "decide non-pair": (lambda p: ["decide", p["f_off"], p["omega"]], 2, "pass"),
+    "represent": (lambda p: ["represent", p["f"], p["omega"]], 2 * N + 3, "measured"),
+    "extend": (lambda p: ["extend", "--phi", p["phi"], "--vbasis", p["vbasis"]], 5, "pass"),
+    "generate spectrum": (lambda p: ["generate", "--n", str(N), "--kind", "spectrum", "--sv", "2,1,0.5"], 1, "pass"),
+    "generate onb": (lambda p: ["generate", "--n", str(N), "--kind", "onb"], 1, "pass"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_CASES))
+def test_cli_counts(counts, cli_files, case):
+    argv, svd, verdict = CLI_CASES[case]
+    counts()
+    report = cli.run(argv(cli_files))
+    assert counts() == (svd, 0)
+    assert report.verdict == verdict

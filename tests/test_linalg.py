@@ -186,6 +186,18 @@ def test_svd_property_sweep():
         assert np.max(np.abs(dec.singulars - lam)) <= 1e-10 * scale
 
 
+def test_svd_at_extreme_scales():
+    # squared column norms of c*A overflow or underflow far inside the double
+    # range; the engine works on A scaled by a power of two, so c does not matter
+    rng = np.random.default_rng(23)
+    for n in (6, 16):
+        a = rand_complex(rng, n)
+        ref = np.linalg.svd(a, compute_uv=False)
+        for c in (1e-300, 1e-170, 1e-100, 1e100, 1e200, 1e300):
+            got = svd(c * a).singulars
+            assert np.max(np.abs(got / c - ref)) <= 1e-14 * ref[0]
+
+
 def _graded_matrices():
     for n in (8, 12, 16):
         b = generate_sequence(n, "spectrum", np.geomspace(2.0, 0.5, n), seed=n).mat

@@ -86,28 +86,38 @@ def test_type_I_spectral_transfer():
 
 
 def test_validate_q_boundary_and_rejections():
-    s_f = np.diag([4.0, 1.0])
-    ok = rduals.validate_q(np.diag([2.0, 1.0]), s_f)
+    f = VectorSeq(np.diag([2.0, 1.0]))
+    ok = rduals.validate_q(np.diag([2.0, 1.0]), f)
     assert (ok.validated_against.lower, ok.validated_against.upper) == (1.0, 4.0)
     with pytest.raises(QTooLarge):
-        rduals.validate_q(np.diag([3.0, 1.0]), s_f)
+        rduals.validate_q(np.diag([3.0, 1.0]), f)
     with pytest.raises(QInverseTooLarge):
-        rduals.validate_q(np.diag([2.0, 0.5]), s_f)
+        rduals.validate_q(np.diag([2.0, 0.5]), f)
     with pytest.raises(QSingular):
-        rduals.validate_q(np.diag([2.0, 0.0]), s_f)
+        rduals.validate_q(np.diag([2.0, 0.0]), f)
+
+
+def test_validate_q_takes_the_rank_of_f():
+    # classify calls f a Riesz basis with bounds (1e-12, 1), so Q = f must
+    # validate against exactly those bounds and type III must accept it
+    f = VectorSeq(np.diag([1.0, 1e-6]))
+    q = rduals.validate_q(np.diag([1.0, 1e-6]), f)
+    assert q.validated_against == frames.classify(f).bounds
+    out = rduals.rdual_type_III(f, std_basis(2), std_basis(2), q)
+    assert np.array_equal(out.mat, np.diag([1.0, 1e-6]))
 
 
 def test_type_III_identity_case():
     f = VectorSeq(np.eye(2))
     h = std_basis(2)
-    q = rduals.validate_q(np.eye(2), frames.frame_operator(f))
+    q = rduals.validate_q(np.eye(2), f)
     out = rduals.rdual_type_III(f, std_basis(2), h, q)
     assert np.allclose(out.mat, h.mat)
 
 
 def test_type_III_direct_arithmetic():
     f = VectorSeq(np.diag([2.0, 1.0]))
-    q = rduals.validate_q(np.diag([2.0, 1.0]), frames.frame_operator(f))
+    q = rduals.validate_q(np.diag([2.0, 1.0]), f)
     out = rduals.rdual_type_III(f, std_basis(2), std_basis(2), q)
     assert np.allclose(out.mat, np.diag([2.0, 1.0]), atol=1e-12)
 
@@ -116,7 +126,7 @@ def test_type_III_bounds_transfer_with_sqrt_q():
     rng = np.random.default_rng(13)
     f = seq_with_sv(rng, 4, rng.uniform(0.5, 2.0, size=4))
     s_f = frames.frame_operator(f)
-    q = rduals.validate_q(linalg.psd_sqrt(s_f), s_f)
+    q = rduals.validate_q(linalg.psd_sqrt(s_f), f)
     out = rduals.rdual_type_III(f, onb(rng, 4), onb(rng, 4), q)
     bf, bw = frames.optimal_bounds(f), frames.optimal_bounds(out)
     assert abs(bf.lower - bw.lower) <= 1e-9
@@ -126,7 +136,7 @@ def test_type_III_bounds_transfer_with_sqrt_q():
 def test_type_III_rejects_foreign_bounds():
     rng = np.random.default_rng(14)
     f = seq_with_sv(rng, 3, [2.0, 1.5, 1.0])
-    q = rduals.validate_q(np.eye(3), np.eye(3))
+    q = rduals.validate_q(np.eye(3), VectorSeq(np.eye(3)))
     with pytest.raises(BoundsMismatch):
         rduals.rdual_type_III(f, onb(rng, 3), onb(rng, 3), q)
 
@@ -149,7 +159,7 @@ def test_type_III_round_trip_seeded():
         else:
             vals = np.linspace(np.sqrt(b.upper), np.sqrt(b.lower), n)
             q_mat = np.diag(vals)
-        q = rduals.validate_q(q_mat, s_f)
+        q = rduals.validate_q(q_mat, f)
         e, h = onb(rng, n), onb(rng, n)
         omega = rduals.rdual_type_III(f, e, h, q)
         back = rduals.recover_type_III(omega, e, h, q, linalg.psd_sqrt(s_f))
@@ -181,6 +191,19 @@ def test_certify_rejects_mismatches():
     rank1 = VectorSeq.from_vectors([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(RankMismatch):
         rduals.certify_symmetrical_pair(VectorSeq(np.eye(2)), rank1)
+
+
+def test_certify_wide_spectrum_pairs():
+    # sigma_r = 1e-8 carries an absolute error of order eps * sigma_1, so its
+    # square is only known to ~1e-8 relative; the bounds gate must allow that
+    sv = [1.0, 0.5, 0.3, 0.1, 1e-3, 1e-8]
+    for seed in range(5):
+        f = generators.generate_sequence(6, "spectrum", sv, seed=seed)
+        e = OrthonormalBasis(generators.generate_sequence(6, "onb", seed=10 + seed))
+        h = OrthonormalBasis(generators.generate_sequence(6, "onb", seed=20 + seed))
+        w = rduals.rdual_type_I(f, e, h)
+        cert = rduals.certify_symmetrical_pair(f, w)
+        assert cert.residual <= 1e-9
 
 
 def test_certify_seeded_pairs_and_recovery():
