@@ -204,7 +204,9 @@ def _cmd_rdual_type1(args, tol):
     out = rduals.rdual_type_I(f, e, h)
     sv_f = f.dec.singulars
     sv_w = linalg.svd(out.mat, tol).singulars
-    residuals = [_residual("singular_transfer", np.max(np.abs(sv_f - sv_w)), 1e-10)]
+    # each computed singular value is off by at most a roundoff multiple of sigma_max
+    budget = tol.cert_rel * max(float(sv_f[0]), float(sv_w[0]))
+    residuals = [_residual("singular_transfer", np.max(np.abs(sv_f - sv_w)), budget)]
     results = {"omega": io.sequence_payload(out.mat)}
     return results, residuals, _verdict_from(residuals), None
 
@@ -218,9 +220,11 @@ def _cmd_rdual_type3(args, tol):
     out = rduals.rdual_type_III(f, e, h, q, tol)
     bf = q.validated_against
     bw = frames.optimal_bounds(out, tol)
+    # the bounds are squared singular values, so their error scales as sigma_max^2
+    budget = tol.cert_rel * max(bf.upper, bw.upper)
     residuals = [
-        _residual("lower_bound_transfer", abs(bf.lower - bw.lower), 1e-9),
-        _residual("upper_bound_transfer", abs(bf.upper - bw.upper), 1e-9),
+        _residual("lower_bound_transfer", abs(bf.lower - bw.lower), budget),
+        _residual("upper_bound_transfer", abs(bf.upper - bw.upper), budget),
     ]
     results = {
         "omega": io.sequence_payload(out.mat),
@@ -388,7 +392,8 @@ def _cmd_generate(args, tol):
         target = np.zeros(args.n)
         target[: len(sv)] = np.sort(np.asarray(sv))[::-1]
         got = seq.dec.singulars
-        check = _residual("singular_match", np.max(np.abs(got - target)), 1e-10)
+        budget = tol.cert_rel * max(float(got[0]), float(target[0]))
+        check = _residual("singular_match", np.max(np.abs(got - target)), budget)
     residuals = [check]
     results = {
         "sequence": payload,

@@ -217,28 +217,30 @@ def represent_inv_sqrt(
             f"expected {n} operators and coefficients, got {len(lambdas)} and {len(coeffs.a)}"
         )
     target = fam.s_inv_sqrt_ext
-    lambdas = [as_operator(lam) for lam in lambdas]
+    lams = np.stack([as_operator(lam) for lam in lambdas])
 
-    norms = [linalg.operator_norm(lam, tol) for lam in lambdas]
-    bessel_sup = float(max(norms) ** 2)
+    # the 2n + 1 operator norms take three engine calls: the Lambda_k, the c-family sum, the prefixes
+    bessel_sup = float(np.max(linalg.operator_norm(lams, tol)) ** 2)
 
-    operator_c = sum(ci * lam for ci, lam in zip(coeffs.c, lambdas))
+    operator_c = sum(ci * lam for ci, lam in zip(coeffs.c, lams))
     error_c = linalg.operator_norm(operator_c - target, tol)
 
-    # walk the prefixes once; the full sum is the last partial
+    # prefix m sums the first m terms; the full sum is the last prefix
+    partials = np.cumsum(coeffs.a[:, None, None] * lams, axis=0)
+    operator_a = partials[-1].copy()
+    partials -= target
+    partial_errors = linalg.operator_norm(partials, tol)
+
     abs_a = np.abs(coeffs.a)
     rows = []
-    partial = np.zeros((n, n), dtype=complex)
     for m in range(1, n + 1):
-        partial = partial + coeffs.a[m - 1] * lambdas[m - 1]
-        partial_error = linalg.operator_norm(partial - target, tol)
+        partial_error = float(partial_errors[m - 1])
         tail_bound = float(np.sum(abs_a[m:]) * np.sqrt(bessel_sup))
         if partial_error > tail_bound + tol.cert_rel:
             raise CertificationFailed(
                 f"prefix {m} misses its tail bound: {partial_error:.3e} > {tail_bound:.3e}"
             )
-        rows.append((m, float(partial_error), tail_bound))
-    operator_a = partial
+        rows.append((m, partial_error, tail_bound))
     error_a = rows[-1][1]
     if error_a > tol.cert_rel:
         raise CertificationFailed(f"representation error {error_a:.3e} exceeds {tol.cert_rel:.1e}")

@@ -161,7 +161,14 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class Svd:
-    """a = left @ diag(singulars) @ right^H with singulars descending."""
+    """a = left @ diag(singulars) @ right^H with singulars descending.
+
+    linalg.svd also factors a stack a of shape (..., n, n); each field is
+    then stacked the same way, so left[k], singulars[k] and right[k] factor
+    a[k]. The stack's matrices share one engine run: each round's pair
+    indices are offset to every matrix's rows, and the linalg module says
+    why operator_norm feeds the engine at most 128 rows per call.
+    """
 
     left: np.ndarray
     singulars: np.ndarray

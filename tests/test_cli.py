@@ -145,6 +145,31 @@ def test_decide_gates_scale_with_the_pair(tmp_path):
         assert report.results["is_pair"] is False, c
 
 
+def test_transfer_gates_scale_with_the_input(tmp_path):
+    # computed singular values are off by roundoff times sigma_max and the
+    # bounds by roundoff times sigma_max^2, so a fixed literal would fail
+    # genuine results from some scale on; the gates scale the same way
+    sv = np.geomspace(2.0, 0.5, 6)
+    f = generators.generate_sequence(6, "spectrum", sv, seed=1).mat
+    e = seq_file(tmp_path, "e.json", generators.generate_sequence(6, "onb", seed=2).mat)
+    h = seq_file(tmp_path, "h.json", generators.generate_sequence(6, "onb", seed=3).mat)
+    q = generators.generate_sequence(6, "spectrum", sv, seed=4).mat
+    # inside the bounds of f, so it validates, but it does not transfer them
+    q_inside = generators.generate_sequence(6, "spectrum", np.geomspace(1.5, 0.6, 6), seed=4).mat
+    for c in (1.0, 1e3, 1e5, 1e8):
+        paths = [seq_file(tmp_path, name, c * mat) for name, mat in (("f", f), ("q", q), ("qi", q_inside))]
+        bases = ["--e", e, "--h", h]
+        report = cli.run(["rdual", "type1", paths[0], *bases])
+        assert report.verdict == "pass", c
+        report = cli.run(["rdual", "type3", paths[0], *bases, "--q", paths[1]])
+        assert report.verdict == "pass", c
+        report = cli.run(["rdual", "type3", paths[0], *bases, "--q", paths[2]])
+        assert report.verdict == "fail" and "error" not in report.results, c
+        spectrum = ",".join(repr(float(x)) for x in c * sv)
+        report = cli.run(["generate", "--n", "6", "--kind", "spectrum", "--sv", spectrum, "--seed", "5"])
+        assert report.verdict == "pass", c
+
+
 def test_represent_desk_pair(desk):
     report = cli.run(["represent", desk["f"], desk["w"]])
     assert report.verdict == "measured"

@@ -3,6 +3,8 @@
 The counts are deterministic, so they gate regressions. Every call site
 resolves linalg.svd and linalg.hermitian_eig at call time, which lets the
 fixture count internal calls as well by replacing the module attributes.
+linalg.svd also takes a stack of matrices, so the SVDs are counted twice:
+as engine calls and as the matrices those calls factor.
 """
 
 import numpy as np
@@ -16,19 +18,21 @@ N = 8
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Call take() for the (svd, eig) calls made since the previous take()."""
-    tally = {"svd": 0, "hermitian_eig": 0}
-    for name in tally:
+    """Call take() for (svd calls, matrices those calls factor, eig calls) since the previous take()."""
+    tally = {"svd": 0, "matrices": 0, "hermitian_eig": 0}
+    for name in ("svd", "hermitian_eig"):
 
         def counted(*args, _name=name, _fn=getattr(linalg, name), **kwargs):
             tally[_name] += 1
+            if _name == "svd":
+                tally["matrices"] += int(np.prod(np.shape(args[0])[:-2]))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(linalg, name, counted)
 
     def take():
-        out = (tally["svd"], tally["hermitian_eig"])
-        tally.update(svd=0, hermitian_eig=0)
+        out = (tally["svd"], tally["matrices"], tally["hermitian_eig"])
+        tally.update(svd=0, matrices=0, hermitian_eig=0)
         return out
 
     return take
@@ -56,29 +60,29 @@ def test_pair_operation_counts(counts, rank):
     s_f_sqrt = (u * sv) @ u.conj().T
     counts()
     cert = rduals.certify_symmetrical_pair(f, omega)
-    assert counts() == (2, 0)
+    assert counts() == (2, 2, 0)
     rduals.recover_symmetrical(omega, cert, s_f_sqrt)
-    assert counts() == (1, 0)
+    assert counts() == (1, 1, 0)
     rduals.gamma_sequence(f, cert)
-    assert counts() == (2, 0)
+    assert counts() == (2, 2, 0)
     assert rduals.decide_type_I_pair(f, omega).is_pair
-    assert counts() == (2, 0)
+    assert counts() == (2, 2, 0)
     assert not rduals.decide_type_I_pair(f_off, omega).is_pair
-    assert counts() == (2, 0)
+    assert counts() == (2, 2, 0)
 
 
 def test_represent_pipeline_counts(counts):
     f, omega, _ = _pair(N - 2)
     h = _onb(40)
     fam = representation.build_shift_family(omega, h)
-    assert counts() == (1, 0)
+    assert counts() == (1, 1, 0)
     lambdas = representation.lambda_family(fam, h)
     co = representation.coefficients(f, omega, h, fam)
     representation.represent_inv_sqrt(fam, lambdas, co)
-    # f once (Parsevalization), one operator norm per Lambda_k, per prefix
-    # and for the c-family sum; omega is not factored again, so the whole
-    # pipeline costs 2N + 3
-    assert counts() == (2 * N + 2, 0)
+    # f once (Parsevalization), then one operator norm per Lambda_k, per
+    # prefix and for the c-family sum, taken in three stacked calls; omega is
+    # not factored again, so the whole pipeline factors 2N + 3 matrices in 5 calls
+    assert counts() == (4, 2 * N + 2, 0)
 
 
 def test_matrix_helper_counts(counts):
@@ -90,11 +94,11 @@ def test_matrix_helper_counts(counts):
     q = np.diag(np.geomspace(1.5, 0.6, N))
     counts()
     linalg.psd_sqrt(s_f)
-    assert counts() == (1, 1)
+    assert counts() == (1, 1, 1)
     linalg.psd_pinv_sqrt(s_f)
-    assert counts() == (1, 1)
+    assert counts() == (1, 1, 1)
     rduals.validate_q(q, f)
-    assert counts() == (2, 0)
+    assert counts() == (2, 2, 0)
 
 
 def test_cli_certify_counts(counts, tmp_path, capsys):
@@ -105,7 +109,7 @@ def test_cli_certify_counts(counts, tmp_path, capsys):
         io.write_json(paths[-1], io.sequence_payload(seq.mat))
     counts()
     assert cli.main(["certify", *paths]) == 0
-    assert counts() == (2, 0)
+    assert counts() == (2, 2, 0)
     assert '"verdict": "pass"' in capsys.readouterr().out
 
 
@@ -136,34 +140,43 @@ def cli_files(tmp_path):
     return paths
 
 
-# argv, SVDs and verdict per subcommand; certify is gated above. Each input
-# sequence is factored once; recover factors the bundle's extended root and
-# the recovered sequence, gamma inverts the extended root twice, and extend
-# factors the action three times and takes two operator norms
+# argv, (SVD calls, matrices) and verdict per subcommand; certify is gated
+# above. Each input sequence is factored once; recover factors the bundle's
+# extended root and the recovered sequence, gamma inverts the extended root
+# twice, extend factors the action three times and takes two operator norms,
+# and represent takes its 2N + 1 operator norms in three stacked calls
 CLI_CASES = {
-    "analyze": (lambda p: ["analyze", p["f"]], 1, "pass"),
-    "rdual type1": (lambda p: ["rdual", "type1", p["f"], "--e", p["e"], "--h", p["h"]], 2, "pass"),
-    "rdual type3": (lambda p: ["rdual", "type3", p["f"], "--e", p["e"], "--h", p["h"], "--q", p["q"]], 3, "pass"),
+    "analyze": (lambda p: ["analyze", p["f"]], (1, 1), "pass"),
+    "rdual type1": (lambda p: ["rdual", "type1", p["f"], "--e", p["e"], "--h", p["h"]], (2, 2), "pass"),
+    "rdual type3": (
+        lambda p: ["rdual", "type3", p["f"], "--e", p["e"], "--h", p["h"], "--q", p["q"]],
+        (3, 3),
+        "pass",
+    ),
     "rdual type3 oversized q": (
         lambda p: ["rdual", "type3", p["f"], "--e", p["e"], "--h", p["h"], "--q", p["q_big"]],
-        2,
+        (2, 2),
         "fail",
     ),
-    "recover": (lambda p: ["recover", p["omega"], "--cert", p["cert"]], 2, "pass"),
-    "gamma": (lambda p: ["gamma", p["f"], p["omega"]], 4, "pass"),
-    "decide pair": (lambda p: ["decide", p["f"], p["omega"]], 2, "pass"),
-    "decide non-pair": (lambda p: ["decide", p["f_off"], p["omega"]], 2, "pass"),
-    "represent": (lambda p: ["represent", p["f"], p["omega"]], 2 * N + 3, "measured"),
-    "extend": (lambda p: ["extend", "--phi", p["phi"], "--vbasis", p["vbasis"]], 5, "pass"),
-    "generate spectrum": (lambda p: ["generate", "--n", str(N), "--kind", "spectrum", "--sv", "2,1,0.5"], 1, "pass"),
-    "generate onb": (lambda p: ["generate", "--n", str(N), "--kind", "onb"], 1, "pass"),
+    "recover": (lambda p: ["recover", p["omega"], "--cert", p["cert"]], (2, 2), "pass"),
+    "gamma": (lambda p: ["gamma", p["f"], p["omega"]], (4, 4), "pass"),
+    "decide pair": (lambda p: ["decide", p["f"], p["omega"]], (2, 2), "pass"),
+    "decide non-pair": (lambda p: ["decide", p["f_off"], p["omega"]], (2, 2), "pass"),
+    "represent": (lambda p: ["represent", p["f"], p["omega"]], (5, 2 * N + 3), "measured"),
+    "extend": (lambda p: ["extend", "--phi", p["phi"], "--vbasis", p["vbasis"]], (5, 5), "pass"),
+    "generate spectrum": (
+        lambda p: ["generate", "--n", str(N), "--kind", "spectrum", "--sv", "2,1,0.5"],
+        (1, 1),
+        "pass",
+    ),
+    "generate onb": (lambda p: ["generate", "--n", str(N), "--kind", "onb"], (1, 1), "pass"),
 }
 
 
 @pytest.mark.parametrize("case", list(CLI_CASES))
 def test_cli_counts(counts, cli_files, case):
-    argv, svd, verdict = CLI_CASES[case]
+    argv, (calls, matrices), verdict = CLI_CASES[case]
     counts()
     report = cli.run(argv(cli_files))
-    assert counts() == (svd, 0)
+    assert counts() == (calls, matrices, 0)
     assert report.verdict == verdict

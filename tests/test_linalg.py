@@ -6,9 +6,11 @@ column left out of every round (odd n), exact zero columns that are never
 rotated, and a pair the first sweep skips. A one-pair-at-a-time
 cyclic-by-rows loop is kept here as the reference the rounds must match,
 and graded inputs are checked against a 50-digit mpmath SVD for relative
-accuracy of every singular value. hermitian_eig runs the SVD on the matrix
-shifted by its Frobenius norm, so the eigen cases here include indefinite
-inputs with eigenvalues +-lambda, which an unshifted SVD would mix.
+accuracy of every singular value. A stack of matrices shares one work
+array, and its factors must be bit for bit those of one call per matrix.
+hermitian_eig runs the SVD on the matrix shifted by its Frobenius norm, so
+the eigen cases here include indefinite inputs with eigenvalues +-lambda,
+which an unshifted SVD would mix.
 numpy.linalg appears here as an independent oracle only; the library itself
 calls no numpy.linalg function but norm, which the source scan below checks.
 """
@@ -301,6 +303,87 @@ def test_svd_no_convergence_reports_progress(monkeypatch):
     assert linalg._PAIR_REL < err.pair_measure <= 1.0 + 1e-12
     assert "1 sweeps" in str(err)
     assert f"{err.pair_measure:.3e}" in str(err)
+
+
+def _mixed_stack(rng, n):
+    """Six n x n matrices the engine treats differently: dense, zero, half-zero, duplicate columns, tiny, real."""
+    mats = [rand_complex(rng, n) for _ in range(6)]
+    mats[1][:] = 0.0
+    mats[2][:, : max(1, n // 2)] = 0.0
+    mats[3][:, -1] = mats[3][:, 0]
+    mats[4] *= 1e-200
+    mats[5] = mats[5].real
+    return np.stack(mats)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_svd_stack_matches_one_call_per_matrix():
+    # every matrix keeps its own scale, pairs and convergence, so the stacked
+    # factors are bit for bit those of one call per matrix
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 8, 16, 24):
+        stack = _mixed_stack(rng, n)
+        shapes = [stack.shape[:1]] if n > 8 else [stack.shape[:1], (2, 3)]
+        for lead in shapes:
+            dec = svd(stack.reshape(*lead, n, n))
+            assert dec.singulars.shape == (*lead, n)
+            for k, a in enumerate(stack):
+                one = svd(a)
+                index = np.unravel_index(k, lead)
+                assert _same_bits(dec.left[index], one.left), (n, k)
+                assert _same_bits(dec.singulars[index], one.singulars), (n, k)
+                assert _same_bits(dec.right[index], one.right), (n, k)
+        # a stack in Fortran order factors as its C-ordered copy
+        fortran = svd(np.asfortranarray(stack))
+        assert _same_bits(fortran.left, dec.left.reshape(stack.shape))
+        assert _same_bits(fortran.right, dec.right.reshape(stack.shape))
+        # a zero matrix is never rotated and factors as I 0 I
+        zero = svd(stack[1])
+        assert _same_bits(zero.left, np.eye(n, dtype=complex))
+        assert _same_bits(zero.right, np.eye(n, dtype=complex))
+        assert not np.any(zero.singulars)
+
+
+def test_operator_norm_stack_spans_chunks():
+    # 40 matrices at n = 8 take three svd calls of at most _STACK_ROWS rows
+    rng = np.random.default_rng(37)
+    stack = np.stack([rand_complex(rng, 8) * 10.0 ** rng.integers(-3, 4) for _ in range(40)])
+    assert 40 * 8 > 2 * linalg._STACK_ROWS
+    norms = operator_norm(stack)
+    assert norms.shape == (40,)
+    assert _same_bits(norms, np.array([operator_norm(a) for a in stack]))
+    assert _same_bits(operator_norm(stack.reshape(4, 10, 8, 8)), norms.reshape(4, 10))
+    assert isinstance(operator_norm(stack[0]), float)
+
+
+def test_svd_stack_rejects_bad_input():
+    for bad in (np.zeros((3, 2, 3)), np.zeros(4), np.zeros((0, 2, 2)), np.zeros((2, 0, 0))):
+        with pytest.raises(ShapeError):
+            svd(bad)
+        with pytest.raises(ShapeError):
+            operator_norm(bad)
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 1, 1] = np.nan
+    for fn in (svd, operator_norm):
+        with pytest.raises(ValueError):
+            fn(stack)
+
+
+def test_svd_stack_no_convergence_reports_progress(monkeypatch):
+    # the second matrix is diagonal and quiet at once; the measure is the dense one's
+    monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
+    stack = np.stack([rand_complex(np.random.default_rng(23), 16), np.diag(np.arange(1.0, 17.0))])
+    with pytest.raises(NoConvergence) as info:
+        svd(stack)
+    err = info.value
+    assert err.sweeps == 1
+    assert linalg._PAIR_REL < err.pair_measure <= 1.0 + 1e-12
+    with pytest.raises(NoConvergence) as alone:
+        svd(stack[0])
+    assert alone.value.pair_measure == err.pair_measure
 
 
 def test_numerical_rank_threshold():
