@@ -79,8 +79,9 @@ def _complex_list(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
 
 
-def _factored(path: str, tol: Tolerances) -> frames.FactoredSequence:
-    return frames.FactoredSequence.of(io.parse_sequence(path), tol)
+def _factored(paths: list[str], tol: Tolerances) -> tuple[frames.FactoredSequence, ...]:
+    # parse every file first, then factor them all in one stacked engine call
+    return frames.FactoredSequence.of_all([io.parse_sequence(path) for path in paths], tol)
 
 
 def _basis_from_file(path: str, tol: Tolerances) -> OrthonormalBasis:
@@ -186,7 +187,7 @@ def _tolerances(args) -> Tolerances:
 
 
 def _cmd_analyze(args, tol):
-    seq = _factored(args.seq, tol)
+    (seq,) = _factored([args.seq], tol)
     info = frames.classify(seq, tol)
     results = {
         "dimension": seq.dim,
@@ -198,7 +199,7 @@ def _cmd_analyze(args, tol):
 
 
 def _cmd_rdual_type1(args, tol):
-    f = _factored(args.f, tol)
+    (f,) = _factored([args.f], tol)
     e = _basis_from_file(args.e, tol)
     h = _basis_from_file(args.h, tol)
     out = rduals.rdual_type_I(f, e, h)
@@ -212,7 +213,7 @@ def _cmd_rdual_type1(args, tol):
 
 
 def _cmd_rdual_type3(args, tol):
-    f = _factored(args.f, tol)
+    (f,) = _factored([args.f], tol)
     e = _basis_from_file(args.e, tol)
     h = _basis_from_file(args.h, tol)
     q_mat = io.parse_sequence(args.q).mat
@@ -234,8 +235,7 @@ def _cmd_rdual_type3(args, tol):
 
 
 def _cmd_certify(args, tol):
-    f = _factored(args.f, tol)
-    omega = _factored(args.omega, tol)
+    f, omega = _factored([args.f, args.omega], tol)
     cert = rduals.certify_symmetrical_pair(f, omega, tol)
     s_f_sqrt = f.sqrt()
     budget = tol.cert_rel * max(1.0, float(np.linalg.norm(omega.mat)))
@@ -265,8 +265,7 @@ def _cmd_recover(args, tol):
 
 
 def _cmd_gamma(args, tol):
-    f = _factored(args.f, tol)
-    omega = _factored(args.omega, tol)
+    f, omega = _factored([args.f, args.omega], tol)
     cert = rduals.certify_symmetrical_pair(f, omega, tol)
     gam = rduals.gamma_sequence(f, cert, tol)
     biorth = float(np.linalg.norm(frames.cross_gram(omega, gam) - np.eye(omega.dim)))
@@ -285,8 +284,7 @@ def _cmd_gamma(args, tol):
 
 
 def _cmd_decide(args, tol):
-    f = _factored(args.f, tol)
-    omega = _factored(args.omega, tol)
+    f, omega = _factored([args.f, args.omega], tol)
     decision = rduals.decide_type_I_pair(f, omega, tol)
     results = {
         "is_pair": decision.is_pair,
@@ -310,8 +308,7 @@ def _cmd_decide(args, tol):
 
 
 def _cmd_represent(args, tol):
-    f = _factored(args.f, tol)
-    omega = _factored(args.omega, tol)
+    f, omega = _factored([args.f, args.omega], tol)
     if args.h is not None:
         h_mat = io.parse_sequence(args.h).mat
     else:
@@ -355,13 +352,10 @@ def _cmd_extend(args, tol):
     ext = extension.extend_operator(sub, tol)
     ext_inv = extension.extended_inverse(sub, tol)
     action_sv = linalg.svd(action, tol).singulars
+    norm_ext, norm_inv = linalg.operator_norm(np.stack([ext, ext_inv]), tol)
     residuals = [
-        _residual("norm_preservation", abs(linalg.operator_norm(ext, tol) - action_sv[0]), tol.exact_rel),
-        _residual(
-            "inverse_norm_preservation",
-            abs(linalg.operator_norm(ext_inv, tol) - 1.0 / action_sv[-1]),
-            tol.exact_rel,
-        ),
+        _residual("norm_preservation", abs(norm_ext - action_sv[0]), tol.exact_rel),
+        _residual("inverse_norm_preservation", abs(norm_inv - 1.0 / action_sv[-1]), tol.exact_rel),
         _residual("inverse_product", np.linalg.norm(ext @ ext_inv - np.eye(v_basis.shape[0])), 1e-11),
     ]
     results = {

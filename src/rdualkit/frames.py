@@ -10,16 +10,22 @@ Every operation factors each input sequence once, by one SVD of its synthesis
 matrix (FactoredSequence), and reads ranks, bounds and the derived operators
 off that factorization in closed form. A FactoredSequence is a VectorSeq,
 so every operation takes it in place of the sequence and factors it no more.
+FactoredSequence.of_all factors the inputs of one operation that are not
+factored yet in one stacked engine call; linalg.svd gives each matrix of a
+stack the factors of a call on it alone, so this saves calls and changes no
+bit. FactoredSequence.of is its one-element case, and the only path from
+this module to the engine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, ZeroSequence
+from .errors import DimensionMismatch, SingularAction, ZeroSequence
 from .types import (
     DEFAULT_TOL,
     Classification,
@@ -67,8 +73,31 @@ class FactoredSequence(VectorSeq):
     @classmethod
     def of(cls, s: VectorSeq, tol: Tolerances) -> "FactoredSequence":
         """Factor s, or reuse its SVD when s is already factored; the rank is taken at tol."""
-        dec = s.dec if isinstance(s, FactoredSequence) else linalg.svd(s.mat, tol)
-        return cls(mat=s.mat, dec=dec, rank=linalg.numerical_rank(dec.singulars, tol.rank_rel))
+        (fac,) = cls.of_all((s,), tol)
+        return fac
+
+    @classmethod
+    def of_all(cls, seqs: Sequence[VectorSeq], tol: Tolerances) -> tuple["FactoredSequence", ...]:
+        """Factor every sequence of seqs in one stacked SVD, reusing the SVD of those already factored.
+
+        The result equals one of(s, tol) per sequence, bit for bit, in one
+        engine call, or in none when every sequence is factored. The
+        sequences must share one dimension; DimensionMismatch is raised
+        before anything is factored.
+        """
+        dims = tuple(s.dim for s in seqs)
+        if len(set(dims)) > 1:
+            raise DimensionMismatch(f"dimensions differ: {dims}")
+        todo = [s.mat for s in seqs if not isinstance(s, FactoredSequence)]
+        fresh = iter(())
+        if todo:
+            stack = linalg.svd(np.stack(todo), tol)
+            fresh = zip(stack.left, stack.singulars, stack.right)
+        decs = [s.dec if isinstance(s, FactoredSequence) else Svd(*next(fresh)) for s in seqs]
+        return tuple(
+            cls(mat=s.mat, dec=dec, rank=linalg.numerical_rank(dec.singulars, tol.rank_rel))
+            for s, dec in zip(seqs, decs)
+        )
 
     @property
     def span(self) -> np.ndarray:
@@ -88,6 +117,12 @@ class FactoredSequence(VectorSeq):
         """S^+ T = U_r diag(1/sigma_r) V_r^H."""
         r = self.rank
         return (self.span / self.dec.singulars[:r]) @ self.dec.right[:, :r].conj().T
+
+    def inverse(self) -> np.ndarray:
+        """T^-1 = V diag(1/sigma) U^H; raises SingularAction when the rank falls short of the dimension."""
+        if self.rank < self.dim:
+            raise SingularAction("matrix is singular at the working rank threshold")
+        return (self.dec.right / self.dec.singulars) @ self.dec.left.conj().T
 
     def sqrt(self) -> np.ndarray:
         """S^(1/2) = U diag(sigma) U^H."""

@@ -69,6 +69,9 @@ _STACK_ROWS = 128
 # one-sided sweeps stop when every column pair is orthogonal to this
 # relative level, which bounds each normalized inner product directly
 _PAIR_REL = 1e-15
+# a column whose squared norm falls below this, about (1e-146)^2 of the largest
+# entry after scaling, is negligible: it is rotated no more and counts as zero
+_TINY = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def _rotation(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray):
@@ -149,9 +152,14 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
     [1/2, 1), and the singular values are scaled back by 2^e. Both scalings
     are exact, so a and 2^k a take the same rotations, and the squared
     column norms stay below n: they cannot overflow, and underflow only in
-    columns tiny against the largest entry. Raises NoConvergence, with the
-    sweeps run and the last sweep's largest normalized pair inner product,
-    if _SWEEP_CAP sweeps do not suffice.
+    columns tiny against the largest entry. A column whose squared norm falls
+    below _TINY, about 1e-146 of the largest entry in norm, is rotated no more
+    and counts as zero, a backward error far below roundoff. Such a column
+    arises when a matrix with a zero row is rank deficient: the dependent
+    column's roundoff residue stays in the span of the others, so rotations
+    only shrink it, until its inner products underflow. Raises NoConvergence,
+    with the sweeps run and the last sweep's largest normalized pair inner
+    product, if _SWEEP_CAP sweeps do not suffice.
 
     a may also be a stack of shape (..., n, n). Its matrices share one work
     array and each round's einsums and rotation, with every round offset to
@@ -189,7 +197,7 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
             aqq = np.einsum("ij,ij->i", xq.conj(), xq).real
             mod = np.abs(apq)
             root = np.sqrt(app * aqq)
-            sel = np.flatnonzero(mod > _PAIR_REL * root)
+            sel = np.flatnonzero((mod > _PAIR_REL * root) & (np.minimum(app, aqq) >= _TINY))
             if sel.size == 0:
                 continue
             rotated = True
@@ -213,7 +221,8 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
     rows = w.reshape(count, n, 2 * n)
     b = rows[:, :, :n].transpose(0, 2, 1)
     v = rows[:, :, n:].transpose(0, 2, 1)
-    norms = np.sqrt(np.real(np.einsum("kij,kij->kj", b.conj(), b)))
+    squares = np.real(np.einsum("kij,kij->kj", b.conj(), b))
+    norms = np.where(squares >= _TINY, np.sqrt(squares), 0.0)
     order = np.argsort(-norms, axis=1, kind="stable")
     norms = np.take_along_axis(norms, order, axis=1)
     b = np.take_along_axis(b, order[:, None, :], axis=2)

@@ -10,8 +10,12 @@ root reproducing the dual sequence column by column.
 
 Each operation factors every input sequence once (frames.FactoredSequence)
 and builds the bases, the extended square root and the pair witness from
-those SVDs in closed form; no eigendecomposition runs here. validate_q
-reads the frame bounds of f off the same factorization.
+those SVDs in closed form; no eigendecomposition runs here. The independent
+matrices of one operation are factored together, in one stacked engine call
+(FactoredSequence.of_all): f and omega in certify_symmetrical_pair and
+decide_type_I_pair, f and the certificate's extended root in gamma_sequence
+and coefficient_identity_check, f and Q in validate_q, which reads the frame
+bounds of f off that factorization.
 """
 
 from __future__ import annotations
@@ -141,16 +145,17 @@ def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
     norm(Q) may not exceed the square root of the upper bound and
     norm(Q^-1) may not exceed the square root of the inverse lower bound; a
     (1 + cert_rel) slack absorbs roundoff at the boundary. The bounds come
-    from the one SVD of f (frames.FactoredSequence), at its rank threshold.
+    from the SVD of f (frames.FactoredSequence), at its rank threshold; f
+    and Q are factored in one stacked call, and must share one dimension.
     """
     tol = tol or DEFAULT_TOL
     q = as_operator(q)
-    fac = frames.FactoredSequence.of(f, tol)
+    fac, fac_q = frames.FactoredSequence.of_all((f, VectorSeq(q)), tol)
     if fac.rank == 0:
         raise ZeroSequence("f is the zero sequence; no Q can be validated")
     bounds = fac.bounds()
 
-    sv = linalg.svd(q, tol).singulars
+    sv = fac_q.dec.singulars
     if sv[0] <= 0.0 or sv[-1] <= tol.rank_rel * sv[0]:
         raise QSingular("Q is singular at the working rank threshold")
     slack = 1.0 + tol.cert_rel
@@ -207,14 +212,12 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
     and omega = U_w S_w V_w^H, the bases are e = U_f V_w^T and
     h = U_w V_f^T, which carry the Parsevalized f onto the Parsevalized
     omega; the operator is the square root of omega's frame operator
-    extended from span(omega). All three come from the two SVDs. The
-    returned residual measures the reproduction of omega and must sit
-    inside the certification budget.
+    extended from span(omega). All three come from the two SVDs, taken in
+    one stacked call. The returned residual measures the reproduction of
+    omega and must sit inside the certification budget.
     """
     tol = tol or DEFAULT_TOL
-    _require_same_dim(f.dim, omega.dim)
-    fac_f = frames.FactoredSequence.of(f, tol)
-    fac_w = frames.FactoredSequence.of(omega, tol)
+    fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
     if fac_f.rank != fac_w.rank:
         raise RankMismatch(f"ranks differ: {fac_f.rank} vs {fac_w.rank}")
     if fac_f.rank == 0:
@@ -239,12 +242,13 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
     return RDualCertificate(e_basis=e_basis, h_basis=h_basis, s_omega_sqrt_ext=ext, residual=residual)
 
 
-def _ext_inverse(cert: RDualCertificate, tol: Tolerances) -> np.ndarray:
-    ext = cert.s_omega_sqrt_ext
+def _ext_inverse(fac_ext: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
+    """Invert a certificate's extended root, which must be Hermitian, from fac_ext, its factorization."""
+    ext = fac_ext.mat
     if np.linalg.norm(ext - ext.conj().T) > tol.exact_rel * max(1.0, np.linalg.norm(ext)):
         raise CertificationFailed("certificate operator is not Hermitian")
     try:
-        return linalg.inverse(ext, tol)
+        return fac_ext.inverse()
     except SingularAction as exc:
         raise CertificationFailed(f"certificate operator is not invertible: {exc}") from exc
 
@@ -258,7 +262,8 @@ def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol:
     tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
     _require_same_dim(omega.dim, cert.e_basis.dim, cert.h_basis.dim, s_f_sqrt.shape[0])
-    ext_inv = _ext_inverse(cert, tol)
+    fac_ext = frames.FactoredSequence.of(VectorSeq(cert.s_omega_sqrt_ext), tol)
+    ext_inv = _ext_inverse(fac_ext, tol)
     coeff = cert.h_basis.mat.conj().T @ ext_inv @ omega.mat
     return VectorSeq(s_f_sqrt @ cert.e_basis.mat @ coeff.T)
 
@@ -271,8 +276,9 @@ def gamma_sequence(f: VectorSeq, cert: RDualCertificate, tol: Tolerances | None 
     """
     tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, cert.e_basis.dim)
-    g = frames.parsevalize(f, tol)
-    ext_inv = _ext_inverse(cert, tol)
+    fac_f, fac_ext = frames.FactoredSequence.of_all((f, VectorSeq(cert.s_omega_sqrt_ext)), tol)
+    g = frames.parsevalize(fac_f, tol)
+    ext_inv = _ext_inverse(fac_ext, tol)
     coeff = cert.e_basis.mat.conj().T @ g.mat
     return VectorSeq(ext_inv @ cert.h_basis.mat @ coeff.T)
 
@@ -287,9 +293,10 @@ def coefficient_identity_check(
     """
     tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, omega.dim, cert.e_basis.dim)
-    ext_inv = _ext_inverse(cert, tol)
+    fac_f, fac_ext = frames.FactoredSequence.of_all((f, VectorSeq(cert.s_omega_sqrt_ext)), tol)
+    ext_inv = _ext_inverse(fac_ext, tol)
     lhs = cert.h_basis.mat.conj().T @ ext_inv @ omega.mat
-    g = frames.parsevalize(f, tol)
+    g = frames.parsevalize(fac_f, tol)
     rhs = (cert.e_basis.mat.conj().T @ g.mat).T
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -307,9 +314,7 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
     onto those of omega.
     """
     tol = tol or DEFAULT_TOL
-    _require_same_dim(f.dim, omega.dim)
-    fac_f = frames.FactoredSequence.of(f, tol)
-    fac_w = frames.FactoredSequence.of(omega, tol)
+    fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
     dec_f, dec_w = fac_f.dec, fac_w.dec
     spectra_f = dec_f.singulars**2
     spectra_w = dec_w.singulars**2

@@ -70,6 +70,17 @@ def test_certify_failure_keeps_inputs(desk, tmp_path):
     assert report.inputs == {"f": desk["f"], "omega": rank_one}
 
 
+@pytest.mark.parametrize("command", ["certify", "gamma", "decide", "represent"])
+def test_dimension_mismatch_is_a_domain_failure(desk, tmp_path, capsys, command):
+    # both files are parsed, then factored together; sizes that differ fail
+    # the run with exit status 1 before anything is factored
+    three = seq_file(tmp_path, "three.json", np.eye(3))
+    assert cli.main([command, desk["f"], three]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert report["results"] == {"error": "DimensionMismatch", "message": "dimensions differ: (2, 3)"}
+
+
 def test_certify_desk_pair(desk):
     report = cli.run(["certify", desk["f"], desk["w"]])
     assert report.verdict == "pass"

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rdualkit import frames
-from rdualkit.errors import DimensionMismatch, ZeroSequence
-from rdualkit.types import PROPER_FRAME_SEQUENCE, RIESZ_BASIS, VectorSeq, ZERO_SEQUENCE
+from rdualkit import frames, linalg
+from rdualkit.errors import DimensionMismatch, SingularAction, ZeroSequence
+from rdualkit.types import DEFAULT_TOL, PROPER_FRAME_SEQUENCE, RIESZ_BASIS, Tolerances, VectorSeq, ZERO_SEQUENCE
 
 
 def seq(*vectors):
@@ -79,6 +79,12 @@ def test_classify_kinds():
 
     c = frames.classify(seq([0, 0], [0, 0]))
     assert c.kind == ZERO_SEQUENCE and c.rank == 0 and c.bounds is None
+
+    # three vectors in a coordinate plane: a zero row, rank two
+    c = frames.classify(seq([1, 4, 0], [2, 5, 0], [3, 6, 0]))
+    sv = np.linalg.svd(np.array([[1, 2, 3], [4, 5, 6]], dtype=float), compute_uv=False)
+    assert c.kind == PROPER_FRAME_SEQUENCE and c.rank == 2
+    assert (c.bounds.lower, c.bounds.upper) == pytest.approx((sv[1] ** 2, sv[0] ** 2), rel=1e-14)
 
 
 def test_frame_inequality_on_span():
@@ -187,3 +193,81 @@ def test_verify_dual_pair():
     assert not frames.verify_dual_pair(seq([2, 0], [0, 1]), seq([1, 0], [0, 1]))
     with pytest.raises(DimensionMismatch):
         frames.verify_dual_pair(onb, seq([1, 0, 0], [0, 1, 0], [0, 0, 1]))
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _same_factorization(a, b):
+    return (
+        a.rank == b.rank
+        and _same_bits(a.mat, b.mat)
+        and all(_same_bits(getattr(a.dec, k), getattr(b.dec, k)) for k in ("left", "singulars", "right"))
+    )
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The shapes handed to linalg.svd, one entry per engine call."""
+    shapes = []
+    svd = linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "svd", counted)
+    return shapes
+
+
+def test_of_all_matches_one_of_per_sequence(engine_calls):
+    # the stacked factors are bit for bit those of one call per sequence,
+    # whatever mix of factored and unfactored sequences comes in
+    rng = np.random.default_rng(48)
+    seqs = [rand_seq(rng, 6, rank) for rank in (6, 4, 6, 1)] + [VectorSeq(np.zeros((6, 6)))]
+    singles = [frames.FactoredSequence.of(s, DEFAULT_TOL) for s in seqs]
+    for factored in ((), (0,), (1, 3), (0, 2, 4)):
+        mixed = [singles[k] if k in factored else s for k, s in enumerate(seqs)]
+        engine_calls.clear()
+        out = frames.FactoredSequence.of_all(mixed, DEFAULT_TOL)
+        assert engine_calls == [(len(seqs) - len(factored), 6, 6)]
+        assert len(out) == len(seqs)
+        for k, (got, want) in enumerate(zip(out, singles)):
+            assert _same_factorization(got, want), (factored, k)
+            if k in factored:
+                assert got.dec is singles[k].dec
+
+
+def test_of_all_reuses_every_factorization(engine_calls):
+    rng = np.random.default_rng(49)
+    facs = [frames.FactoredSequence.of(rand_seq(rng, 4), DEFAULT_TOL) for _ in range(3)]
+    engine_calls.clear()
+    out = frames.FactoredSequence.of_all(facs, DEFAULT_TOL)
+    assert engine_calls == []
+    assert all(got.dec is fac.dec for got, fac in zip(out, facs))
+    # the rank is taken at the tolerances of the call, not those of the first factorization
+    loose = Tolerances(rank_rel=0.9)
+    (coarse,) = frames.FactoredSequence.of_all(facs[:1], loose)
+    assert engine_calls == [] and coarse.rank == linalg.numerical_rank(facs[0].dec.singulars, 0.9)
+
+
+def test_of_all_rejects_mixed_dimensions_before_factoring(engine_calls):
+    rng = np.random.default_rng(50)
+    small, large = rand_seq(rng, 3), rand_seq(rng, 4)
+    for seqs in ((small, large), (frames.FactoredSequence.of(small, DEFAULT_TOL), large)):
+        engine_calls.clear()
+        with pytest.raises(DimensionMismatch, match=r"dimensions differ: \(3, 4\)"):
+            frames.FactoredSequence.of_all(seqs, DEFAULT_TOL)
+        assert engine_calls == []
+
+
+def test_factored_inverse():
+    rng = np.random.default_rng(51)
+    s = rand_seq(rng, 5)
+    fac = frames.FactoredSequence.of(s, DEFAULT_TOL)
+    # the formula of linalg.inverse on the same factors
+    assert _same_bits(fac.inverse(), linalg.inverse(s.mat))
+    assert np.linalg.norm(fac.inverse() @ s.mat - np.eye(5)) <= 1e-12
+    with pytest.raises(SingularAction):
+        frames.FactoredSequence.of(rand_seq(rng, 5, rank=4), DEFAULT_TOL).inverse()

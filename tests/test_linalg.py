@@ -251,6 +251,29 @@ def test_svd_rounds_edge_cases():
     assert np.allclose(svd(a).singulars, [golden, 1.0, 1.0, 1.0 / golden], rtol=0.0, atol=1e-15)
 
 
+def test_svd_zero_row():
+    # with a zero row, the rank-deficient column's residue lies in the span of
+    # the others, so no rotation makes it orthogonal: it shrinks every sweep,
+    # and below _TINY it counts as a zero column instead of turning into NaN
+    rng = np.random.default_rng(43)
+    cases = [np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0]])]
+    for k in range(60):
+        n = int(rng.integers(2, 9))
+        a = rng.standard_normal((n, n)) if k % 2 else rand_complex(rng, n)
+        a[rng.integers(n)] = 0.0
+        cases.append(a)
+    for a in cases:
+        n = a.shape[0]
+        dec = svd(a)
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(dec.singulars - ref)) <= 1e-14 * ref[0]
+        assert dec.singulars[-1] == 0.0
+        assert np.linalg.norm(dec.left.conj().T @ dec.left - np.eye(n)) <= 1e-13
+        assert np.linalg.norm(dec.right.conj().T @ dec.right - np.eye(n)) <= 1e-13
+        recon = (dec.left * dec.singulars) @ dec.right.conj().T
+        assert np.linalg.norm(a - recon) <= 1e-13 * np.linalg.norm(a)
+
+
 def _cyclic_by_rows(a):
     """Reference: one-sided Jacobi visiting (0,1), (0,2), ..., (n-2,n-1) one pair at a time."""
     n = a.shape[0]

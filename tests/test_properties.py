@@ -1,0 +1,99 @@
+"""Property tests: the certify and decide verdicts do not depend on scale or basis.
+
+Each case is a sequence f and a type-I dual omega, or omega and an f
+redrawn with its largest singular value, an inner one or its rank changed.
+decide accepts only the type-I dual. certify also accepts the f with an
+inner singular value moved: the symmetrical relation goes through the
+Parsevalized f, so it asks for equal ranks and bounds only. The verdict,
+a pass or the type of the error raised, must be the same for (c f, c omega)
+at every c in [1e-8, 1e8] and for (W f, W omega) under every unitary W. The
+examples are derandomized, so the suite stays deterministic.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from rdualkit import rduals  # noqa: E402
+from rdualkit.errors import RDualError  # noqa: E402
+from rdualkit.generators import generate_sequence  # noqa: E402
+from rdualkit.types import OrthonormalBasis, VectorSeq  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+MOVES = ("none", "top", "inner", "rank")
+
+
+@st.composite
+def cases(draw):
+    """(f, omega, move): omega is a type-I dual of f before the move; "none" when nothing moved."""
+    n = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**16))
+    move = draw(st.sampled_from(MOVES))
+    sv = np.zeros(n)
+    sv[:rank] = np.geomspace(1.0, 10.0 ** -draw(st.integers(0, 4)), rank)
+    omega = rduals.rdual_type_I(
+        generate_sequence(n, "spectrum", sv, seed=seed),
+        OrthonormalBasis(generate_sequence(n, "onb", seed=seed + 1)),
+        OrthonormalBasis(generate_sequence(n, "onb", seed=seed + 2)),
+    )
+    moved = sv.copy()
+    if move == "top":
+        moved[0] *= 1.5
+    elif move == "inner" and rank > 2:
+        # strictly inside the bounds, and off the geometric spacing unless every value is equal
+        moved[1] = (sv[0] + sv[2]) / 2.0
+    elif move == "rank" and rank > 1:
+        moved[rank - 1] = 0.0
+    f = generate_sequence(n, "spectrum", moved, seed=seed + 3)
+    return f, omega, "none" if np.array_equal(moved, sv) else move
+
+
+def _certify(f, omega):
+    try:
+        rduals.certify_symmetrical_pair(f, omega)
+    except RDualError as exc:
+        return type(exc).__name__
+    return "pass"
+
+
+def _decide(f, omega):
+    return rduals.decide_type_I_pair(f, omega).is_pair
+
+
+def _scaled(c, *seqs):
+    return [VectorSeq(c * s.mat) for s in seqs]
+
+
+def _rotated(w, *seqs):
+    return [VectorSeq(w @ s.mat) for s in seqs]
+
+
+@PROPERTY
+@given(case=cases(), exponent=st.floats(-8.0, 8.0))
+def test_certify_verdict_is_scale_invariant(case, exponent):
+    f, omega, move = case
+    verdict = _certify(f, omega)
+    assert (verdict == "pass") == (move in ("none", "inner"))
+    assert _certify(*_scaled(10.0**exponent, f, omega)) == verdict
+
+
+@PROPERTY
+@given(case=cases(), exponent=st.floats(-8.0, 8.0))
+def test_decide_verdict_is_scale_invariant(case, exponent):
+    f, omega, move = case
+    verdict = _decide(f, omega)
+    assert verdict == (move == "none")
+    assert _decide(*_scaled(10.0**exponent, f, omega)) == verdict
+
+
+@PROPERTY
+@given(case=cases(), seed=st.integers(0, 2**16))
+def test_verdicts_are_basis_invariant(case, seed):
+    f, omega, _ = case
+    w = generate_sequence(f.dim, "onb", seed=seed).mat
+    assert _certify(*_rotated(w, f, omega)) == _certify(f, omega)
+    assert _decide(*_rotated(w, f, omega)) == _decide(f, omega)

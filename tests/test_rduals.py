@@ -6,6 +6,7 @@ import pytest
 from rdualkit import frames, generators, linalg, rduals
 from rdualkit.errors import (
     BoundsMismatch,
+    DimensionMismatch,
     QInverseTooLarge,
     QSingular,
     QTooLarge,
@@ -95,6 +96,9 @@ def test_validate_q_boundary_and_rejections():
         rduals.validate_q(np.diag([2.0, 0.5]), f)
     with pytest.raises(QSingular):
         rduals.validate_q(np.diag([2.0, 0.0]), f)
+    # f and Q are factored in one stacked call, so they must share a size
+    with pytest.raises(DimensionMismatch):
+        rduals.validate_q(np.diag([2.0, 1.0, 1.0]), f)
 
 
 def test_validate_q_takes_the_rank_of_f():
