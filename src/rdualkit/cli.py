@@ -213,11 +213,12 @@ def _cmd_rdual_type1(args, tol):
 
 
 def _cmd_rdual_type3(args, tol):
-    (f,) = _factored([args.f], tol)
+    # the files are parsed in argument order, and f and Q factored together after
+    f = io.parse_sequence(args.f)
     e = _basis_from_file(args.e, tol)
     h = _basis_from_file(args.h, tol)
-    q_mat = io.parse_sequence(args.q).mat
-    q = rduals.validate_q(q_mat, f, tol)
+    f, q_seq = frames.FactoredSequence.of_all([f, io.parse_sequence(args.q)], tol)
+    q = rduals.validate_q(q_seq, f, tol)
     out = rduals.rdual_type_III(f, e, h, q, tol)
     bf = q.validated_against
     bw = frames.optimal_bounds(out, tol)
@@ -356,7 +357,7 @@ def _cmd_extend(args, tol):
     residuals = [
         _residual("norm_preservation", abs(norm_ext - action_sv[0]), tol.exact_rel),
         _residual("inverse_norm_preservation", abs(norm_inv - 1.0 / action_sv[-1]), tol.exact_rel),
-        _residual("inverse_product", np.linalg.norm(ext @ ext_inv - np.eye(v_basis.shape[0])), 1e-11),
+        _residual("inverse_product", np.linalg.norm(ext @ ext_inv - np.eye(v_basis.shape[0])), tol.inverse_rel),
     ]
     results = {
         "extension": io.sequence_payload(ext),
@@ -381,7 +382,7 @@ def _cmd_generate(args, tol):
     payload = io.sequence_payload(seq.mat, label=label)
     info = frames.classify(seq, tol)
     if args.kind == generators.ONB:
-        check = _residual("gram_defect", np.linalg.norm(frames.gram(seq) - np.eye(args.n)), 1e-10)
+        check = _residual("gram_defect", np.linalg.norm(frames.gram(seq) - np.eye(args.n)), tol.onb_rel)
     else:
         target = np.zeros(args.n)
         target[: len(sv)] = np.sort(np.asarray(sv))[::-1]

@@ -25,11 +25,22 @@ operations. At the sizes used here numpy's cost per operation, not the
 arithmetic, sets the time, so a stack costs little more than one matrix.
 Each matrix keeps its own power-of-two scale, its own pairs to rotate and
 its own convergence, and its factors are bit for bit those of a call on it
-alone. operator_norm, which takes stacks as well, feeds svd chunks of at
-most _STACK_ROWS = 128 work-array rows: at n = 8 to 24 that takes most of
-the saving of one call per stack, and the benchmark's represent_series
-workload peaks about 2% above one matrix per call in memory, against 5% at
-256 rows and 9% for one unchunked stack.
+alone.
+
+svd and operator_norm share one sweep loop, _sweeps, which rotates the rows
+of a work array and reads only their first n entries. svd hands it rows of
+[A; V], 2n wide. operator_norm hands it rows of A alone, n wide: in
+one-sided Jacobi the singular values are the norms of the rotated columns
+of A, and V is needed only for the vectors (Demmel and Veselic), so it
+skips V, the left vectors and their completion. The rotations depend on A
+alone, so its norms are bit for bit svd's largest singular values.
+operator_norm also takes stacks, and sweeps them in chunks capped by
+work-array size: a chunk takes at most the bytes of _STACK_ROWS = 128 rows
+of svd's [A; V], which is 256 rows of A alone, floor(256 / n) matrices, so
+peak memory stays where svd's chunks put it. Half that chunk, 128 rows of A
+alone, cost the benchmark's represent_series workload about a seventh of
+its throughput (median of three 30 s runs: 36.7 against 42.1 op/s, on
+2 vCPUs) and saved 1% of its peak memory.
 
 Sequence operations factor each input sequence once, by the SVD of its
 synthesis matrix (frames.FactoredSequence), and read the square roots, the
@@ -64,7 +75,8 @@ from .types import (
 )
 
 _SWEEP_CAP = 30
-# operator_norm hands svd at most this many work-array rows per call
+# operator_norm's work array takes at most the bytes of this many rows of
+# svd's [A; V], 2n entries each
 _STACK_ROWS = 128
 # one-sided sweeps stop when every column pair is orthogonal to this
 # relative level, which bounds each normalized inner product directly
@@ -172,18 +184,53 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
     tol = tol or DEFAULT_TOL
     a = _as_stack(a)
     n = a.shape[-1]
-    mats = a.reshape(-1, n, n)
-    count = mats.shape[0]
-    # frexp(0) gives e = 0: a zero matrix stays as it is and has no pair to rotate
-    _, e = np.frexp(np.max(np.abs(mats), axis=(1, 2)))
-    # ldexp takes real arrays only, so scale the real and imaginary parts as one float view
-    scaled = np.ldexp(mats.view(np.float64), -e[:, None, None]).view(np.complex128)
+    scaled, e = _scaled(a.reshape(-1, n, n))
+    count = scaled.shape[0]
 
     # row b*n + j holds column j of [a_b; v_b], so a round gathers and scatters whole rows
     eyes = np.broadcast_to(np.eye(n), (count, n, n))
     w = np.concatenate([scaled.transpose(0, 2, 1), eyes], axis=2).reshape(count * n, 2 * n)
-    first, later = _rounds(n, count)
+    _sweeps(w, n)
 
+    rows = w.reshape(count, n, 2 * n)
+    norms = _column_norms(rows, n)
+    b = rows[:, :, :n].transpose(0, 2, 1)
+    v = rows[:, :, n:].transpose(0, 2, 1)
+    order = np.argsort(-norms, axis=1, kind="stable")
+    norms = np.take_along_axis(norms, order, axis=1)
+    b = np.take_along_axis(b, order[:, None, :], axis=2)
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+
+    # norms descend, so the columns with a zero norm come last and are completed
+    filled = np.count_nonzero(norms > 0.0, axis=1)
+    left = b / np.where(norms > 0.0, norms, 1.0)[:, None, :]
+    for k in np.flatnonzero(filled < n):
+        left[k] = _complete_columns(left[k, :, : filled[k]])
+    return Svd(
+        left=left.reshape(a.shape),
+        singulars=np.ldexp(norms, e[:, None]).reshape(a.shape[:-1]),
+        right=v.reshape(a.shape),
+    )
+
+
+def _scaled(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of the stack mats times 2^-e, with e its exponent, so its largest entry lies in [1/2, 1)."""
+    # frexp(0) gives e = 0: a zero matrix stays as it is and has no pair to rotate
+    _, e = np.frexp(np.max(np.abs(mats), axis=(1, 2)))
+    # ldexp takes real arrays only, so scale the real and imaginary parts as one float view
+    return np.ldexp(mats.view(np.float64), -e[:, None, None]).view(np.complex128), e
+
+
+def _sweeps(w: np.ndarray, n: int) -> None:
+    """Rotate the rows of the work array w in place until every column pair of every matrix is orthogonal.
+
+    Row b*n + j of w holds column j of matrix b; the pair test and the
+    rotation angles read the first n entries of each row only, and each
+    rotation applies to the whole row. svd hands in rows of [A; V], 2n wide,
+    operator_norm rows of A alone, n wide; the A half rotates bit for bit
+    alike in both. Raises NoConvergence if _SWEEP_CAP sweeps do not suffice.
+    """
+    first, later = _rounds(n, w.shape[0] // n)
     for sweep in range(1, _SWEEP_CAP + 1):
         rotated = False
         measure = 0.0
@@ -214,37 +261,26 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
             w[q] = su * bp + c * bq
         # the first sweep skips some pairs, so only a later quiet sweep proves convergence
         if not rotated and sweep > 1:
-            break
-    else:
-        raise NoConvergence(sweep, measure)
+            return
+    raise NoConvergence(sweep, measure)
 
-    rows = w.reshape(count, n, 2 * n)
+
+def _column_norms(rows: np.ndarray, n: int) -> np.ndarray:
+    """The norms of the rotated columns, from the first n entries of each row of rows (count, n, width).
+
+    A column whose squared norm is below _TINY counts as zero.
+    """
     b = rows[:, :, :n].transpose(0, 2, 1)
-    v = rows[:, :, n:].transpose(0, 2, 1)
     squares = np.real(np.einsum("kij,kij->kj", b.conj(), b))
-    norms = np.where(squares >= _TINY, np.sqrt(squares), 0.0)
-    order = np.argsort(-norms, axis=1, kind="stable")
-    norms = np.take_along_axis(norms, order, axis=1)
-    b = np.take_along_axis(b, order[:, None, :], axis=2)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-
-    # norms descend, so the columns with a zero norm come last and are completed
-    filled = np.count_nonzero(norms > 0.0, axis=1)
-    left = b / np.where(norms > 0.0, norms, 1.0)[:, None, :]
-    for k in np.flatnonzero(filled < n):
-        left[k] = _complete_columns(left[k, :, : filled[k]])
-    return Svd(
-        left=left.reshape(a.shape),
-        singulars=np.ldexp(norms, e[:, None]).reshape(a.shape[:-1]),
-        right=v.reshape(a.shape),
-    )
+    return np.where(squares >= _TINY, np.sqrt(squares), 0.0)
 
 
 def _as_stack(a) -> np.ndarray:
     """A matrix or a stack (..., n, n) of them as one C-ordered complex array.
 
-    The checks are those of as_operator. svd writes only to arrays of its
-    own, so an input that already is such an array is not copied.
+    The checks are those of as_operator. svd and operator_norm write only to
+    arrays of their own, so an input that already is such an array is not
+    copied.
     """
     mat = np.asarray(a, dtype=np.complex128, order="C")
     if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
@@ -259,16 +295,28 @@ def _as_stack(a) -> np.ndarray:
 def operator_norm(a, tol: Tolerances | None = None) -> float | np.ndarray:
     """Spectral norm, the largest singular value: a float, or an array over a stack (..., n, n).
 
-    A stack goes to svd in chunks of at most _STACK_ROWS work-array rows, so
-    a long stack costs no more memory than a short one.
+    A values-only pass of the engine: the sweeps rotate the columns of the
+    scaled A alone, with no V and no left vectors, and the largest rotated
+    column norm, scaled back by 2^e, is the norm. The rotations read only
+    A, so the norms are bit for bit svd(a).singulars[..., 0]. A stack is
+    swept in chunks whose work array takes at most the bytes of
+    _STACK_ROWS rows of svd's [A; V], so a long stack costs no more memory
+    than a short one.
     """
     a = _as_stack(a)
     n = a.shape[-1]
-    if a.ndim == 2:
-        return float(svd(a, tol).singulars[0])
     mats = a.reshape(-1, n, n)
-    step = max(1, _STACK_ROWS // n)
-    out = np.concatenate([svd(mats[i : i + step], tol).singulars[:, 0] for i in range(0, len(mats), step)])
+    # rows of A alone are n wide, half of svd's 2n, so a chunk holds 2 * _STACK_ROWS of them
+    step = max(1, 2 * _STACK_ROWS // n)
+    out = np.empty(mats.shape[0])
+    for i in range(0, mats.shape[0], step):
+        scaled, e = _scaled(mats[i : i + step])
+        # transposing makes row b*n + j column j of matrix b; the reshape copies into a fresh array
+        w = scaled.transpose(0, 2, 1).reshape(-1, n)
+        _sweeps(w, n)
+        out[i : i + step] = np.ldexp(np.max(_column_norms(w.reshape(-1, n, n), n), axis=1), e)
+    if a.ndim == 2:
+        return float(out[0])
     return out.reshape(a.shape[:-2])
 
 

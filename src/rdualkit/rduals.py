@@ -145,12 +145,13 @@ def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
     norm(Q) may not exceed the square root of the upper bound and
     norm(Q^-1) may not exceed the square root of the inverse lower bound; a
     (1 + cert_rel) slack absorbs roundoff at the boundary. The bounds come
-    from the SVD of f (frames.FactoredSequence), at its rank threshold; f
-    and Q are factored in one stacked call, and must share one dimension.
+    from the SVD of f (frames.FactoredSequence), at its rank threshold. Q
+    is a matrix or a sequence; f and Q are factored in one stacked call,
+    which reuses the SVD of either when it comes in factored, and must share
+    one dimension.
     """
     tol = tol or DEFAULT_TOL
-    q = as_operator(q)
-    fac, fac_q = frames.FactoredSequence.of_all((f, VectorSeq(q)), tol)
+    fac, fac_q = frames.FactoredSequence.of_all((f, q if isinstance(q, VectorSeq) else VectorSeq(q)), tol)
     if fac.rank == 0:
         raise ZeroSequence("f is the zero sequence; no Q can be validated")
     bounds = fac.bounds()
@@ -165,7 +166,7 @@ def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
         raise QInverseTooLarge(
             f"norm(Q^-1) = {1.0 / sv[-1]:.6g} exceeds sqrt(1/lower bound) = {1.0 / np.sqrt(bounds.lower):.6g}"
         )
-    return QOperator(q=q, validated_against=bounds)
+    return QOperator(q=fac_q.mat, validated_against=bounds)
 
 
 def rdual_type_III(

@@ -16,7 +16,10 @@ case its error can be of order one.
 
 The extended square root, its inverse and the span of omega are closed
 forms in one SVD of omega (frames.FactoredSequence), so building the shift
-family costs one factorization and the coefficients reuse it.
+family costs one factorization and the coefficients reuse it. The 2n + 1
+operator norms that represent_inv_sqrt reports take one linalg.operator_norm
+call, a values-only engine pass over one stack of the Lambda_k, the c-family
+error and the a-family prefix errors.
 """
 
 from __future__ import annotations
@@ -208,7 +211,9 @@ def represent_inv_sqrt(
     certification budget, and every prefix of it must respect the tail bound
     (excluded l1 mass times sqrt of the Bessel supremum); violations mean the
     inputs were not built from one another and raise. The c-family sum is
-    measured only.
+    measured only. All 2n + 1 operator norms come from one stack filled in
+    place and one linalg.operator_norm call, and each is bit for bit the
+    norm of its matrix taken alone.
     """
     tol = tol or DEFAULT_TOL
     n = fam.dim
@@ -217,19 +222,25 @@ def represent_inv_sqrt(
             f"expected {n} operators and coefficients, got {len(lambdas)} and {len(coeffs.a)}"
         )
     target = fam.s_inv_sqrt_ext
-    lams = np.stack([as_operator(lam) for lam in lambdas])
 
-    # the 2n + 1 operator norms take three engine calls: the Lambda_k, the c-family sum, the prefixes
-    bessel_sup = float(np.max(linalg.operator_norm(lams, tol)) ** 2)
-
+    # the 2n + 1 operator norms take one call, on one stack filled in place:
+    # the n Lambda_k, the c-family sum minus the target, then the n prefixes
+    # of the a-family sum minus the target (prefix m sums the first m terms)
+    stack = np.empty((2 * n + 1, n, n), dtype=np.complex128)
+    lams, partials = stack[:n], stack[n + 1 :]
+    for k, lam in enumerate(lambdas):
+        lams[k] = as_operator(lam)
     operator_c = sum(ci * lam for ci, lam in zip(coeffs.c, lams))
-    error_c = linalg.operator_norm(operator_c - target, tol)
-
-    # prefix m sums the first m terms; the full sum is the last prefix
-    partials = np.cumsum(coeffs.a[:, None, None] * lams, axis=0)
+    np.subtract(operator_c, target, out=stack[n])
+    np.multiply(coeffs.a[:, None, None], lams, out=partials)
+    np.cumsum(partials, axis=0, out=partials)
+    # the full sum is the last prefix
     operator_a = partials[-1].copy()
     partials -= target
-    partial_errors = linalg.operator_norm(partials, tol)
+    norms = linalg.operator_norm(stack, tol)
+    bessel_sup = float(np.max(norms[:n]) ** 2)
+    error_c = float(norms[n])
+    partial_errors = norms[n + 1 :]
 
     abs_a = np.abs(coeffs.a)
     rows = []

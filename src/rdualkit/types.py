@@ -49,15 +49,20 @@ class Tolerances:
 
     rank_rel decides when a singular value counts as zero, cert_rel is the
     certification budget for residual checks, exact_rel guards identities that
-    hold to machine precision.
+    hold to machine precision. Two budgets of the CLI's scale-free residuals
+    complete them: onb_rel for the Gram defect of a generated orthonormal
+    basis, inverse_rel for an extended operator times its extended inverse
+    against the identity.
     """
 
     rank_rel: float = 1e-10
     cert_rel: float = 1e-9
     exact_rel: float = 1e-12
+    onb_rel: float = 1e-10
+    inverse_rel: float = 1e-11
 
     def __post_init__(self):
-        for name in ("rank_rel", "cert_rel", "exact_rel"):
+        for name in ("rank_rel", "cert_rel", "exact_rel", "onb_rel", "inverse_rel"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {v}")
@@ -166,8 +171,9 @@ class Svd:
     linalg.svd also factors a stack a of shape (..., n, n); each field is
     then stacked the same way, so left[k], singulars[k] and right[k] factor
     a[k]. The stack's matrices share one engine run: each round's pair
-    indices are offset to every matrix's rows, and the linalg module says
-    why operator_norm feeds the engine at most 128 rows per call.
+    indices are offset to every matrix's rows. operator_norm runs the same
+    engine on A alone, without V, in chunks whose work array takes at most
+    the bytes of 128 rows of svd's [A; V]; the linalg module says why.
     """
 
     left: np.ndarray

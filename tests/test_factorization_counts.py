@@ -1,39 +1,46 @@
 """Factorization counts per operation: each input sequence is factored once, by SVD.
 
 The counts are deterministic, so they gate regressions. Every call site
-resolves linalg.svd and linalg.hermitian_eig at call time, which lets the
-fixture count internal calls as well by replacing the module attributes.
-linalg.svd also takes a stack of matrices, so the SVDs are counted twice:
-as engine calls and as the matrices those calls factor. An operation that
-factors two independent matrices of one size factors them in one call.
+resolves linalg's functions at call time, which lets the fixture count
+internal calls as well by replacing the module attributes. It counts passes
+of the Jacobi engine, linalg._sweeps, which both linalg.svd and the
+values-only linalg.operator_norm run, so an operator norm counts as a
+factorization too. The engine takes a stack of matrices, so the passes are
+counted twice: as engine calls and as the matrices those calls factor. An
+operation that factors two independent matrices of one size factors them in
+one call. hermitian_eig calls are counted on their own as well.
 """
 
 import numpy as np
 import pytest
 
 from rdualkit import cli, frames, generators, io, linalg, rduals, representation
-from rdualkit.types import OrthonormalBasis
+from rdualkit.types import DEFAULT_TOL, OrthonormalBasis, VectorSeq
 
 N = 8
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Call take() for (svd calls, matrices those calls factor, eig calls) since the previous take()."""
-    tally = {"svd": 0, "matrices": 0, "hermitian_eig": 0}
-    for name in ("svd", "hermitian_eig"):
+    """Call take() for (engine calls, matrices those calls factor, eig calls) since the previous take()."""
+    tally = {"engine": 0, "matrices": 0, "hermitian_eig": 0}
 
-        def counted(*args, _name=name, _fn=getattr(linalg, name), **kwargs):
-            tally[_name] += 1
-            if _name == "svd":
-                tally["matrices"] += int(np.prod(np.shape(args[0])[:-2]))
-            return _fn(*args, **kwargs)
+    def engine(w, n, _fn=linalg._sweeps):
+        tally["engine"] += 1
+        # the work array holds n rows per matrix, whatever its width
+        tally["matrices"] += w.shape[0] // n
+        return _fn(w, n)
 
-        monkeypatch.setattr(linalg, name, counted)
+    def eig(*args, _fn=linalg.hermitian_eig, **kwargs):
+        tally["hermitian_eig"] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_sweeps", engine)
+    monkeypatch.setattr(linalg, "hermitian_eig", eig)
 
     def take():
-        out = (tally["svd"], tally["matrices"], tally["hermitian_eig"])
-        tally.update(svd=0, matrices=0, hermitian_eig=0)
+        out = (tally["engine"], tally["matrices"], tally["hermitian_eig"])
+        tally.update(engine=0, matrices=0, hermitian_eig=0)
         return out
 
     return take
@@ -84,9 +91,10 @@ def test_represent_pipeline_counts(counts):
     co = representation.coefficients(f, omega, h, fam)
     representation.represent_inv_sqrt(fam, lambdas, co)
     # f once (Parsevalization), then one operator norm per Lambda_k, per
-    # prefix and for the c-family sum, taken in three stacked calls; omega is
-    # not factored again, so the whole pipeline factors 2N + 3 matrices in 5 calls
-    assert counts() == (4, 2 * N + 2, 0)
+    # prefix and for the c-family sum, all 2N + 1 in one values-only pass;
+    # omega is not factored again, so the whole pipeline factors 2N + 3
+    # matrices in 3 calls
+    assert counts() == (2, 2 * N + 2, 0)
 
 
 def test_matrix_helper_counts(counts):
@@ -103,6 +111,13 @@ def test_matrix_helper_counts(counts):
     assert counts() == (1, 1, 1)
     rduals.validate_q(q, f)
     assert counts() == (1, 2, 0)
+    # a factored f or Q keeps its SVD, so only the other one is factored
+    fac_f, fac_q = frames.FactoredSequence.of_all([f, VectorSeq(q)], DEFAULT_TOL)
+    counts()
+    rduals.validate_q(fac_q, f)
+    assert counts() == (1, 1, 0)
+    rduals.validate_q(fac_q, fac_f)
+    assert counts() == (0, 0, 0)
 
 
 def test_cli_certify_counts(counts, tmp_path, capsys):
@@ -144,30 +159,31 @@ def cli_files(tmp_path):
     return paths
 
 
-# argv, (SVD calls, matrices) and verdict per subcommand; certify is gated
-# above. Each input sequence is factored once, and f and omega together in
-# one call; recover factors the bundle's extended root and the recovered
-# sequence, gamma inverts the extended root twice, extend factors the action
-# three times and takes its two operator norms in one call, and represent
-# takes its 2N + 1 operator norms in three stacked calls
+# argv, (engine calls, matrices) and verdict per subcommand; certify is
+# gated above. Each input sequence is factored once, and two inputs of one
+# call together: f and omega, or f and Q for rdual type3; recover factors the
+# bundle's extended root and the recovered sequence, gamma inverts the
+# extended root twice, extend factors the action three times and takes its
+# two operator norms in one call, and represent takes its 2N + 1 operator
+# norms in one values-only pass
 CLI_CASES = {
     "analyze": (lambda p: ["analyze", p["f"]], (1, 1), "pass"),
     "rdual type1": (lambda p: ["rdual", "type1", p["f"], "--e", p["e"], "--h", p["h"]], (2, 2), "pass"),
     "rdual type3": (
         lambda p: ["rdual", "type3", p["f"], "--e", p["e"], "--h", p["h"], "--q", p["q"]],
-        (3, 3),
+        (2, 3),
         "pass",
     ),
     "rdual type3 oversized q": (
         lambda p: ["rdual", "type3", p["f"], "--e", p["e"], "--h", p["h"], "--q", p["q_big"]],
-        (2, 2),
+        (1, 2),
         "fail",
     ),
     "recover": (lambda p: ["recover", p["omega"], "--cert", p["cert"]], (2, 2), "pass"),
     "gamma": (lambda p: ["gamma", p["f"], p["omega"]], (3, 4), "pass"),
     "decide pair": (lambda p: ["decide", p["f"], p["omega"]], (1, 2), "pass"),
     "decide non-pair": (lambda p: ["decide", p["f_off"], p["omega"]], (1, 2), "pass"),
-    "represent": (lambda p: ["represent", p["f"], p["omega"]], (4, 2 * N + 3), "measured"),
+    "represent": (lambda p: ["represent", p["f"], p["omega"]], (2, 2 * N + 3), "measured"),
     "extend": (lambda p: ["extend", "--phi", p["phi"], "--vbasis", p["vbasis"]], (4, 5), "pass"),
     "generate spectrum": (
         lambda p: ["generate", "--n", str(N), "--kind", "spectrum", "--sv", "2,1,0.5"],

@@ -7,7 +7,9 @@ rotated, and a pair the first sweep skips. A one-pair-at-a-time
 cyclic-by-rows loop is kept here as the reference the rounds must match,
 and graded inputs are checked against a 50-digit mpmath SVD for relative
 accuracy of every singular value. A stack of matrices shares one work
-array, and its factors must be bit for bit those of one call per matrix.
+array, and its factors must be bit for bit those of one call per matrix;
+operator_norm's values-only pass, which sweeps A without V, must give svd's
+largest singular value bit for bit.
 hermitian_eig runs the SVD on the matrix shifted by its Frobenius norm, so
 the eigen cases here include indefinite inputs with eigenvalues +-lambda,
 which an unshifted SVD would mix.
@@ -370,16 +372,74 @@ def test_svd_stack_matches_one_call_per_matrix():
         assert not np.any(zero.singulars)
 
 
-def test_operator_norm_stack_spans_chunks():
-    # 40 matrices at n = 8 take three svd calls of at most _STACK_ROWS rows
+@pytest.fixture
+def engine_passes(monkeypatch):
+    """The work-array shapes handed to the Jacobi engine, one entry per pass."""
+    shapes = []
+    sweeps = linalg._sweeps
+
+    def counted(w, n):
+        shapes.append(w.shape)
+        return sweeps(w, n)
+
+    monkeypatch.setattr(linalg, "_sweeps", counted)
+    return shapes
+
+
+def test_operator_norm_stack_spans_chunks(engine_passes):
+    # the values-only work array holds A alone, n wide, so a chunk has
+    # 2 * _STACK_ROWS rows, as many bytes as _STACK_ROWS rows of svd's [A; V]:
+    # 80 matrices at n = 8 take three passes of 32, 32 and 16 matrices
     rng = np.random.default_rng(37)
-    stack = np.stack([rand_complex(rng, 8) * 10.0 ** rng.integers(-3, 4) for _ in range(40)])
-    assert 40 * 8 > 2 * linalg._STACK_ROWS
+    stack = np.stack([rand_complex(rng, 8) * 10.0 ** rng.integers(-3, 4) for _ in range(80)])
     norms = operator_norm(stack)
-    assert norms.shape == (40,)
+    rows = 2 * linalg._STACK_ROWS
+    assert engine_passes == [(rows, 8), (rows, 8), (80 * 8 - 2 * rows, 8)]
+    svd(stack[:2])
+    assert engine_passes[-1] == (2 * 8, 2 * 8)
+    assert norms.shape == (80,)
     assert _same_bits(norms, np.array([operator_norm(a) for a in stack]))
-    assert _same_bits(operator_norm(stack.reshape(4, 10, 8, 8)), norms.reshape(4, 10))
+    assert _same_bits(operator_norm(stack.reshape(8, 10, 8, 8)), norms.reshape(8, 10))
     assert isinstance(operator_norm(stack[0]), float)
+
+
+def test_operator_norm_is_svd_sigma_max_bit_for_bit():
+    # the rotations read only the A half of svd's work array, so the
+    # values-only pass ends on the same columns, and its norm is svd's
+    # largest singular value bit for bit
+    rng = np.random.default_rng(41)
+    cases = []
+    for n in (1, 2, 3, 8, 16, 24):
+        count = 2 * (2 * linalg._STACK_ROWS // n) + 3  # spans three chunks
+        cases.append(np.stack([rand_complex(rng, n) for _ in range(count)]))
+    deficient = rand_complex(rng, 7)
+    deficient[:, 4] = deficient[:, 0] - 2.0 * deficient[:, 2]
+    zero_row = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0]])
+    a = rand_complex(rng, 6)
+    cases += [deficient, np.zeros((5, 5)), zero_row, 1e-300 * a, 1e300 * a, np.stack([1e-300 * a, 1e300 * a])]
+    for mats in cases:
+        want = svd(mats).singulars[..., 0]
+        got = operator_norm(mats)
+        if mats.ndim == 2:
+            assert isinstance(got, float)
+            got = np.float64(got)
+        assert _same_bits(np.asarray(got), want), mats.shape
+    assert operator_norm(np.zeros((5, 5))) == 0.0
+
+
+def test_operator_norm_no_convergence_reports_progress(monkeypatch):
+    # the values-only pass runs svd's sweep loop, so it stops at the same cap
+    # with the same report
+    monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
+    a = rand_complex(np.random.default_rng(23), 16)
+    with pytest.raises(NoConvergence) as info:
+        operator_norm(np.stack([a, np.diag(np.arange(1.0, 17.0))]))
+    err = info.value
+    assert err.sweeps == 1
+    assert linalg._PAIR_REL < err.pair_measure <= 1.0 + 1e-12
+    with pytest.raises(NoConvergence) as full:
+        svd(a)
+    assert full.value.pair_measure == err.pair_measure
 
 
 def test_svd_stack_rejects_bad_input():

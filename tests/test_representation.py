@@ -246,6 +246,31 @@ def test_represent_certified_seeded():
         assert report.tail_table[-1][1] == report.error_a
 
 
+def test_represent_norms_are_the_svd_norms_bit_for_bit():
+    # the 2n + 1 norms share one values-only engine call, and each must be
+    # bit for bit the largest singular value svd gives for its matrix alone
+    rng = np.random.default_rng(405)
+    # at n = 16 the 33 norms span three chunks of the engine
+    for n, rank in ((2, 2), (5, 3), (8, 8), (16, 16)):
+        w = seq_with_sv(rng, n, rng.uniform(0.4, 2.0, size=rank))
+        f = seq_with_sv(rng, n, rng.uniform(0.4, 2.0, size=rank))
+        h = onb(rng, n)
+        fam = representation.build_shift_family(w, h)
+        lams = representation.lambda_family(fam, h)
+        co = representation.coefficients(f, w, h, fam)
+        report = representation.represent_inv_sqrt(fam, lams, co)
+
+        def norm(a):
+            return float(linalg.svd(a).singulars[0])
+
+        assert report.bessel_sup == max(norm(lam) for lam in lams) ** 2
+        target = fam.s_inv_sqrt_ext
+        operator_c = sum(ci * lam for ci, lam in zip(co.c, np.stack(lams)))
+        assert report.error_c == norm(operator_c - target)
+        partials = np.cumsum(co.a[:, None, None] * np.stack(lams), axis=0)
+        assert [row[1] for row in report.tail_table] == [norm(p - target) for p in partials]
+
+
 def test_represent_rejects_mismatched_lengths():
     _, fam, lams, co = desk_setup()
     with pytest.raises(DimensionMismatch):
