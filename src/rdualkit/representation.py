@@ -229,7 +229,11 @@ def represent_inv_sqrt(
     stack = np.empty((2 * n + 1, n, n), dtype=np.complex128)
     lams, partials = stack[:n], stack[n + 1 :]
     for k, lam in enumerate(lambdas):
-        lams[k] = as_operator(lam)
+        lam = as_operator(lam)
+        # assignment would broadcast a smaller Lambda over the whole slot
+        if lam.shape != (n, n):
+            raise DimensionMismatch(f"Lambda_{k} has shape {lam.shape}, expected {(n, n)}")
+        lams[k] = lam
     operator_c = sum(ci * lam for ci, lam in zip(coeffs.c, lams))
     np.subtract(operator_c, target, out=stack[n])
     np.multiply(coeffs.a[:, None, None], lams, out=partials)

@@ -49,20 +49,15 @@ class Tolerances:
 
     rank_rel decides when a singular value counts as zero, cert_rel is the
     certification budget for residual checks, exact_rel guards identities that
-    hold to machine precision. Two budgets of the CLI's scale-free residuals
-    complete them: onb_rel for the Gram defect of a generated orthonormal
-    basis, inverse_rel for an extended operator times its extended inverse
-    against the identity.
+    hold to machine precision.
     """
 
     rank_rel: float = 1e-10
     cert_rel: float = 1e-9
     exact_rel: float = 1e-12
-    onb_rel: float = 1e-10
-    inverse_rel: float = 1e-11
 
     def __post_init__(self):
-        for name in ("rank_rel", "cert_rel", "exact_rel", "onb_rel", "inverse_rel"):
+        for name in ("rank_rel", "cert_rel", "exact_rel"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {v}")

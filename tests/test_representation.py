@@ -275,3 +275,5 @@ def test_represent_rejects_mismatched_lengths():
     _, fam, lams, co = desk_setup()
     with pytest.raises(DimensionMismatch):
         representation.represent_inv_sqrt(fam, lams[:1], co)
+    with pytest.raises(DimensionMismatch):
+        representation.represent_inv_sqrt(fam, [np.eye(1)] + list(lams[1:]), co)
