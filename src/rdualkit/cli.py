@@ -346,7 +346,8 @@ def _cmd_represent(args, tol):
         ],
     }
     residuals = [
-        _residual("error_a", report.error_a, tol.cert_rel),
+        # the budget represent_inv_sqrt gated, relative to the norm of its target
+        _residual("error_a", report.error_a, tol.cert_rel * fam.inv_sqrt_norm),
         _residual("error_c", report.error_c),
         _residual("modulus_gap", report.modulus_gap),
     ]

@@ -35,12 +35,25 @@ of A, and V is needed only for the vectors (Demmel and Veselic), so it
 skips V, the left vectors and their completion. The rotations depend on A
 alone, so its norms are bit for bit svd's largest singular values.
 operator_norm also takes stacks, and sweeps them in chunks capped by
-work-array size: a chunk takes at most the bytes of _STACK_ROWS = 128 rows
-of svd's [A; V], which is 256 rows of A alone, floor(256 / n) matrices, so
-peak memory stays where svd's chunks put it. Half that chunk, 128 rows of A
-alone, cost the benchmark's represent_series workload about a seventh of
-its throughput (median of three 30 s runs: 36.7 against 42.1 op/s, on
-2 vCPUs) and saved 1% of its peak memory.
+work-array size: a chunk takes at most the bytes of _STACK_ROWS = 272 rows
+of svd's [A; V], which is 544 rows of A alone, floor(544 / n) matrices. A
+stack of B matrices takes the fewest chunks under that cap, ceil(B / cap),
+of equal size up to one matrix: numpy's cost per round sets the time of a
+pass, so a short tail chunk costs about half a full one, and equal chunks
+pay for no tail. The cap sits at the measured knee of the benchmark's
+represent_series workload (n = 8, 16 and 24, so 2n + 1 = 17, 33 and 49
+norms per op). There 272 takes the n = 16 stack in one pass and the
+n = 24 stack in three (17, 16 and 16 matrices), for about 0.5 MiB more
+peak memory than 128. 640 would take every stack in one pass, but it
+raised peak memory by about 2.7 MiB (6%) and gained no throughput over 272
+(10 s runs on 2 vCPUs).
+
+A round gathers the rows of its pairs with take and reads each squared
+column norm as a real einsum over the float64 view of the row's first n
+complex entries, so only the pair inner product is a complex einsum and no
+conjugated copy is made for the norms. Summing real and imaginary parts
+in that order changes the last bits of every factorization against a
+complex einsum, but not its determinism or its accuracy.
 
 Sequence operations factor each input sequence once, by the SVD of its
 synthesis matrix (frames.FactoredSequence), and read the square roots, the
@@ -77,23 +90,13 @@ from .types import (
 _SWEEP_CAP = 30
 # operator_norm's work array takes at most the bytes of this many rows of
 # svd's [A; V], 2n entries each
-_STACK_ROWS = 128
+_STACK_ROWS = 272
 # one-sided sweeps stop when every column pair is orthogonal to this
 # relative level, which bounds each normalized inner product directly
 _PAIR_REL = 1e-15
 # a column whose squared norm falls below this, about (1e-146)^2 of the largest
 # entry after scaling, is negligible: it is rotated no more and counts as zero
 _TINY = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-
-
-def _rotation(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray):
-    """Return arrays (c, s, u) annihilating the (p, q) entries of Hermitian 2x2 blocks."""
-    mod = np.abs(apq)
-    u = apq / mod
-    tau = (aqq - app) / (2.0 * mod)
-    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c, u
 
 
 @functools.lru_cache(maxsize=64)
@@ -235,13 +238,14 @@ def _sweeps(w: np.ndarray, n: int) -> None:
         rotated = False
         measure = 0.0
         for p, q in first if sweep == 1 else later:
-            bp = w[p]
-            bq = w[q]
-            xp = bp[:, :n]
-            xq = bq[:, :n]
-            apq = np.einsum("ij,ij->i", xp.conj(), xq)
-            app = np.einsum("ij,ij->i", xp.conj(), xp).real
-            aqq = np.einsum("ij,ij->i", xq.conj(), xq).real
+            bp = w.take(p, axis=0)
+            bq = w.take(q, axis=0)
+            apq = np.einsum("ij,ij->i", bp[:, :n].conj(), bq[:, :n])
+            # a squared norm is a real sum over the float64 view of the row's first n entries
+            rp = bp.view(np.float64)[:, : 2 * n]
+            rq = bq.view(np.float64)[:, : 2 * n]
+            app = np.einsum("ij,ij->i", rp, rp)
+            aqq = np.einsum("ij,ij->i", rq, rq)
             mod = np.abs(apq)
             root = np.sqrt(app * aqq)
             sel = np.flatnonzero((mod > _PAIR_REL * root) & (np.minimum(app, aqq) >= _TINY))
@@ -253,10 +257,14 @@ def _sweeps(w: np.ndarray, n: int) -> None:
                 measure = max(measure, float(np.max(mod[sel] / root[sel])))
             if sel.size < p.size:
                 p, q, bp, bq = p[sel], q[sel], bp[sel], bq[sel]
-                app, aqq, apq = app[sel], aqq[sel], apq[sel]
-            c, s, u = _rotation(app, aqq, apq)
+                app, aqq, apq, mod = app[sel], aqq[sel], apq[sel], mod[sel]
+            # the rotation annihilating the (p, q) entry of each Hermitian 2x2 block [app apq; apq* aqq]
+            u = apq / mod
+            tau = (aqq - app) / (2.0 * mod)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            su = (t * c * u)[:, None]
             c = c[:, None]
-            su = (s * u)[:, None]
             w[p] = c * bp - su.conj() * bq
             w[q] = su * bp + c * bq
         # the first sweep skips some pairs, so only a later quiet sweep proves convergence
@@ -299,25 +307,30 @@ def operator_norm(a, tol: Tolerances | None = None) -> float | np.ndarray:
     scaled A alone, with no V and no left vectors, and the largest rotated
     column norm, scaled back by 2^e, is the norm. The rotations read only
     A, so the norms are bit for bit svd(a).singulars[..., 0]. A stack is
-    swept in chunks whose work array takes at most the bytes of
-    _STACK_ROWS rows of svd's [A; V], so a long stack costs no more memory
-    than a short one.
+    swept in the fewest chunks whose work array takes at most the bytes of
+    _STACK_ROWS rows of svd's [A; V], of equal size up to one matrix, so a
+    long stack costs no more memory than a short one and no pass sweeps a
+    short tail.
     """
     a = _as_stack(a)
     n = a.shape[-1]
     mats = a.reshape(-1, n, n)
     # rows of A alone are n wide, half of svd's 2n, so a chunk holds 2 * _STACK_ROWS of them
-    step = max(1, 2 * _STACK_ROWS // n)
-    out = np.empty(mats.shape[0])
-    for i in range(0, mats.shape[0], step):
-        scaled, e = _scaled(mats[i : i + step])
-        # transposing makes row b*n + j column j of matrix b; the reshape copies into a fresh array
-        w = scaled.transpose(0, 2, 1).reshape(-1, n)
-        _sweeps(w, n)
-        out[i : i + step] = np.ldexp(np.max(_column_norms(w.reshape(-1, n, n), n), axis=1), e)
+    cap = max(1, 2 * _STACK_ROWS // n)
+    out = np.concatenate([_largest_norms(chunk) for chunk in np.array_split(mats, -(-len(mats) // cap))])
     if a.ndim == 2:
         return float(out[0])
     return out.reshape(a.shape[:-2])
+
+
+def _largest_norms(mats: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of the stack mats (count, n, n), by one values-only pass."""
+    n = mats.shape[-1]
+    scaled, e = _scaled(mats)
+    # transposing makes row b*n + j column j of matrix b; the reshape copies into a fresh array
+    w = scaled.transpose(0, 2, 1).reshape(-1, n)
+    _sweeps(w, n)
+    return np.ldexp(np.max(_column_norms(w.reshape(-1, n, n), n), axis=1), e)
 
 
 def numerical_rank(singulars: np.ndarray, rank_rel: float) -> int:

@@ -46,7 +46,9 @@ class ShiftFamily:
     v_ops[j] equals s_inv_sqrt_ext @ u^j @ s_sqrt_ext, with v_ops[0] the
     identity; u itself is unitary. span holds orthonormal columns spanning
     the numerical range of omega, from the same factorization, and source
-    is the synthesis matrix of that omega.
+    is the synthesis matrix of that omega. inv_sqrt_norm is the operator
+    norm of s_inv_sqrt_ext, 1 / sigma_r for the smallest singular value
+    sigma_r of omega above the rank threshold.
     """
 
     u: np.ndarray
@@ -55,6 +57,7 @@ class ShiftFamily:
     s_inv_sqrt_ext: np.ndarray
     span: np.ndarray
     source: np.ndarray
+    inv_sqrt_norm: float
 
     def __post_init__(self):
         object.__setattr__(self, "u", as_operator(self.u))
@@ -133,7 +136,13 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | 
         power = u @ power
         v_ops.append(ext_inv @ power @ ext)
     return ShiftFamily(
-        u=u, v_ops=tuple(v_ops), s_sqrt_ext=ext, s_inv_sqrt_ext=ext_inv, span=fac.span, source=omega.mat
+        u=u,
+        v_ops=tuple(v_ops),
+        s_sqrt_ext=ext,
+        s_inv_sqrt_ext=ext_inv,
+        span=fac.span,
+        source=omega.mat,
+        inv_sqrt_norm=float(1.0 / fac.dec.singulars[fac.rank - 1]),
     )
 
 
@@ -209,8 +218,12 @@ def represent_inv_sqrt(
 
     The a-family sum must land on the inverse extended square root within the
     certification budget, and every prefix of it must respect the tail bound
-    (excluded l1 mass times sqrt of the Bessel supremum); violations mean the
-    inputs were not built from one another and raise. The c-family sum is
+    (excluded l1 mass times sqrt of the Bessel supremum) within that budget;
+    violations mean the inputs were not built from one another and raise.
+    The budget is cert_rel times the norm of the target, fam.inv_sqrt_norm:
+    the a_k and the target scale as 1 / sigma_r of omega while the Lambda_k
+    do not scale, so the roundoff in each sum scales as the target does,
+    and the gates hold at every scale of omega. The c-family sum is
     measured only. All 2n + 1 operator norms come from one stack filled in
     place and one linalg.operator_norm call, and each is bit for bit the
     norm of its matrix taken alone.
@@ -246,19 +259,20 @@ def represent_inv_sqrt(
     error_c = float(norms[n])
     partial_errors = norms[n + 1 :]
 
+    budget = tol.cert_rel * fam.inv_sqrt_norm
     abs_a = np.abs(coeffs.a)
     rows = []
     for m in range(1, n + 1):
         partial_error = float(partial_errors[m - 1])
         tail_bound = float(np.sum(abs_a[m:]) * np.sqrt(bessel_sup))
-        if partial_error > tail_bound + tol.cert_rel:
+        if partial_error > tail_bound + budget:
             raise CertificationFailed(
                 f"prefix {m} misses its tail bound: {partial_error:.3e} > {tail_bound:.3e}"
             )
         rows.append((m, partial_error, tail_bound))
     error_a = rows[-1][1]
-    if error_a > tol.cert_rel:
-        raise CertificationFailed(f"representation error {error_a:.3e} exceeds {tol.cert_rel:.1e}")
+    if error_a > budget:
+        raise CertificationFailed(f"representation error {error_a:.3e} exceeds {budget:.3e}")
 
     modulus_gap = float(np.max(np.abs(np.abs(coeffs.a) - np.abs(coeffs.c))))
     return RepresentationReport(

@@ -189,6 +189,22 @@ def test_represent_desk_pair(desk):
     assert abs(report.results["bessel_sup"] - 4.0) <= 1e-12
 
 
+def test_represent_scales_with_the_input(tmp_path):
+    # the error_a budget is cert_rel times the norm of the target, which
+    # scales as 1 / c: an absolute budget made represent fail at c = 1e-6
+    f = generators.generate_sequence(8, "spectrum", np.geomspace(2.0, 0.5, 8), seed=4)
+    e = OrthonormalBasis(generators.generate_sequence(8, "onb", seed=5))
+    h = OrthonormalBasis(generators.generate_sequence(8, "onb", seed=6))
+    omega = rduals.rdual_type_I(f, e, h).mat
+    for c in (1e-8, 1e-6, 1.0, 1e8):
+        paths = [seq_file(tmp_path, name, c * mat) for name, mat in (("f", f.mat), ("w", omega))]
+        report = cli.run(["represent", *paths])
+        assert report.verdict == "measured", c
+        (entry,) = [r for r in report.residuals if r["name"] == "error_a"]
+        assert 0.0 < entry["value"] <= entry["tolerance"], c
+        assert entry["tolerance"] == pytest.approx(1e-9 * 2.0 / c, rel=1e-12), c
+
+
 def test_represent_h0_rotation(desk):
     base = cli.run(["represent", desk["f"], desk["w"]])
     rolled = cli.run(["represent", desk["f"], desk["w"], "--h0-index", "1"])

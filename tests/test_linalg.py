@@ -25,7 +25,7 @@ import pytest
 
 import rdualkit
 
-from rdualkit import linalg
+from rdualkit import linalg, rduals, representation
 from rdualkit.errors import NoConvergence, NotHermitian, NotOrthonormal, NotPsd, ShapeError, SingularAction
 from rdualkit.generators import generate_sequence
 from rdualkit.linalg import (
@@ -38,7 +38,7 @@ from rdualkit.linalg import (
     psd_sqrt,
     svd,
 )
-from rdualkit.types import Tolerances
+from rdualkit.types import OrthonormalBasis, Tolerances
 
 
 def rand_complex(rng, n):
@@ -387,20 +387,39 @@ def engine_passes(monkeypatch):
 
 
 def test_operator_norm_stack_spans_chunks(engine_passes):
-    # the values-only work array holds A alone, n wide, so a chunk has
-    # 2 * _STACK_ROWS rows, as many bytes as _STACK_ROWS rows of svd's [A; V]:
-    # 80 matrices at n = 8 take three passes of 32, 32 and 16 matrices
+    # the values-only work array holds A alone, n wide, so a chunk has at
+    # most 2 * _STACK_ROWS rows, as many bytes as _STACK_ROWS rows of svd's
+    # [A; V]; a stack takes the fewest chunks under that cap, of equal size
+    # up to one matrix, so no short tail pays a whole pass: two full chunks
+    # and four matrices at n = 8 take three passes, not two full and a tail
+    cap = 2 * linalg._STACK_ROWS // 8
+    count = 2 * cap + 4
     rng = np.random.default_rng(37)
-    stack = np.stack([rand_complex(rng, 8) * 10.0 ** rng.integers(-3, 4) for _ in range(80)])
+    stack = np.stack([rand_complex(rng, 8) * 10.0 ** rng.integers(-3, 4) for _ in range(count)])
     norms = operator_norm(stack)
-    rows = 2 * linalg._STACK_ROWS
-    assert engine_passes == [(rows, 8), (rows, 8), (80 * 8 - 2 * rows, 8)]
+    # 47, 47 and 46 matrices at _STACK_ROWS = 272
+    size, extra = divmod(count, 3)
+    assert engine_passes == [((size + (k < extra)) * 8, 8) for k in range(3)]
     svd(stack[:2])
     assert engine_passes[-1] == (2 * 8, 2 * 8)
-    assert norms.shape == (80,)
+    assert norms.shape == (count,)
     assert _same_bits(norms, np.array([operator_norm(a) for a in stack]))
-    assert _same_bits(operator_norm(stack.reshape(8, 10, 8, 8)), norms.reshape(8, 10))
+    assert _same_bits(operator_norm(stack.reshape(4, count // 4, 8, 8)), norms.reshape(4, count // 4))
     assert isinstance(operator_norm(stack[0]), float)
+
+
+def test_represent_norms_take_one_pass_at_n16(engine_passes):
+    # represent_inv_sqrt's 2n + 1 = 33 norms at n = 16 fit one chunk, so
+    # they take one values-only pass, n wide
+    n = 16
+    f = generate_sequence(n, "spectrum", np.geomspace(2.0, 0.5, n), seed=1)
+    e, h = (OrthonormalBasis(generate_sequence(n, "onb", seed=seed)) for seed in (2, 3))
+    omega = rduals.rdual_type_I(f, e, h)
+    fam = representation.build_shift_family(omega, h)
+    co = representation.coefficients(f, omega, h, fam)
+    engine_passes.clear()
+    representation.represent_inv_sqrt(fam, representation.lambda_family(fam, h), co)
+    assert engine_passes == [((2 * n + 1) * n, n)]
 
 
 def test_operator_norm_is_svd_sigma_max_bit_for_bit():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rdualkit import frames, linalg, rduals, representation
+from rdualkit import frames, generators, linalg, rduals, representation
 from rdualkit.errors import CertificationFailed, DimensionMismatch, ZeroSequence
 from rdualkit.types import OrthonormalBasis, VectorSeq
 
@@ -24,6 +24,11 @@ def seq_with_sv(rng, n, sv):
     pad = np.zeros(n)
     pad[: len(sv)] = sv
     return VectorSeq(p @ np.diag(pad) @ q.conj().T)
+
+
+# the report's norms and numpy's are both accurate to a few roundoffs
+# relative to each norm, so they agree to this relative level
+ORACLE_REL = 1e-12
 
 
 DESK_OMEGA = VectorSeq.from_vectors([[0.0, 1.0], [2.0, 0.0]])
@@ -101,6 +106,8 @@ def test_lambda_desk_example():
 
 
 def test_lambda_norm_oracle_seeded():
+    # numpy.linalg.norm(., 2) is the oracle, independent of the Jacobi engine
+    # whose values-only pass takes the report's norms
     rng = np.random.default_rng(401)
     for _ in range(100):
         n = int(rng.integers(2, 9))
@@ -110,13 +117,18 @@ def test_lambda_norm_oracle_seeded():
         lams = representation.lambda_family(fam, h)
         sup = 0.0
         for k in range(n):
-            family = VectorSeq(np.column_stack([fam.v_ops[j] @ h.mat[:, k] for j in range(n)]))
-            bound = representation.bessel_bound_of_family(family)
+            family = np.column_stack([fam.v_ops[j] @ h.mat[:, k] for j in range(n)])
+            bound = np.linalg.norm(family, 2) ** 2
             sup = max(sup, bound)
-            assert linalg.operator_norm(lams[k]) <= np.sqrt(bound) + 1e-10
+            assert np.linalg.norm(lams[k], 2) <= np.sqrt(bound) + 1e-10
         co = representation.coefficients(w, w, h, fam)
         report = representation.represent_inv_sqrt(fam, lams, co)
         assert abs(report.bessel_sup - sup) <= 1e-9 * max(1.0, sup)
+        lam_sup = max(np.linalg.norm(lam, 2) for lam in lams) ** 2
+        assert abs(report.bessel_sup - lam_sup) <= ORACLE_REL * lam_sup
+        for name, op in (("error_a", report.operator_a), ("error_c", report.operator_c)):
+            want = np.linalg.norm(op - fam.s_inv_sqrt_ext, 2)
+            assert abs(getattr(report, name) - want) <= ORACLE_REL * want, name
 
 
 def test_coefficients_identity_case():
@@ -250,7 +262,7 @@ def test_represent_norms_are_the_svd_norms_bit_for_bit():
     # the 2n + 1 norms share one values-only engine call, and each must be
     # bit for bit the largest singular value svd gives for its matrix alone
     rng = np.random.default_rng(405)
-    # at n = 16 the 33 norms span three chunks of the engine
+    # at n = 16 the 33 norms fill one chunk of the engine
     for n, rank in ((2, 2), (5, 3), (8, 8), (16, 16)):
         w = seq_with_sv(rng, n, rng.uniform(0.4, 2.0, size=rank))
         f = seq_with_sv(rng, n, rng.uniform(0.4, 2.0, size=rank))
@@ -277,3 +289,46 @@ def test_represent_rejects_mismatched_lengths():
         representation.represent_inv_sqrt(fam, lams[:1], co)
     with pytest.raises(DimensionMismatch):
         representation.represent_inv_sqrt(fam, [np.eye(1)] + list(lams[1:]), co)
+
+
+def _scaled_pair(c):
+    """n = 8: f with spectrum geomspace(2, 0.5) times c, and its type-I dual omega under seeded bases."""
+    n = 8
+    f = VectorSeq(c * generators.generate_sequence(n, "spectrum", np.geomspace(2.0, 0.5, n), seed=4).mat)
+    e = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=5))
+    h = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=6))
+    return f, rduals.rdual_type_I(f, e, h), h
+
+
+def test_represent_gates_are_scale_free():
+    # the target and the a_k scale as 1 / c and the Lambda_k not at all, so
+    # the roundoff of each sum scales as the target's norm: an absolute
+    # budget failed the exact last prefix at c = 1e-6 and admitted about 10%
+    # relative error at c = 1e8
+    unit = None
+    for c in (1e-8, 1e-6, 1.0, 1e8):
+        f, omega, h = _scaled_pair(c)
+        fam = representation.build_shift_family(omega, h)
+        report = representation.represent_inv_sqrt(
+            fam, representation.lambda_family(fam, h), representation.coefficients(f, omega, h, fam)
+        )
+        target_norm = np.linalg.norm(fam.s_inv_sqrt_ext, 2)
+        assert fam.inv_sqrt_norm == pytest.approx(target_norm, rel=1e-12)
+        assert report.error_a <= 1e-13 * target_norm, c
+        bounds = np.array([row[2] for row in report.tail_table]) * c
+        unit = bounds if unit is None else unit
+        assert np.allclose(bounds, unit, rtol=1e-10, atol=0.0), c
+
+
+def test_represent_gate_rejects_a_wrong_sum_at_every_scale():
+    # scale-free does not mean looser: a coefficient off by 1e-6 relative
+    # misses the budget cert_rel * ||target|| at every scale
+    for c in (1e-8, 1.0, 1e8):
+        f, omega, h = _scaled_pair(c)
+        fam = representation.build_shift_family(omega, h)
+        co = representation.coefficients(f, omega, h, fam)
+        a = co.a.copy()
+        a[0] *= 1.0 + 1e-6
+        off = representation.CoefficientReport(a=a, c=co.c, p=co.p, l1_a=co.l1_a, l1_c=co.l1_c)
+        with pytest.raises(CertificationFailed):
+            representation.represent_inv_sqrt(fam, representation.lambda_family(fam, h), off)
