@@ -23,7 +23,7 @@ h = OrthonormalBasis(VectorSeq(np.eye(2)))
 
 fam = representation.build_shift_family(omega, h)
 print("shift U:\n", fam.u.real)
-print("V_1 = inv_sqrt U sqrt:\n", np.round(fam.v_ops[1].real, 6))
+print("V_1 = inv_sqrt U sqrt:\n", np.round((fam.s_inv_sqrt_ext @ fam.u @ fam.s_sqrt_ext).real, 6))
 
 lams = representation.lambda_family(fam, h)
 print("Lambda_0:\n", np.round(lams[0].real, 6))

@@ -24,6 +24,17 @@ def _action_svd(phi: SubspaceOperator, tol: Tolerances) -> Svd:
     return dec
 
 
+def _on_full_space(phi: SubspaceOperator, action: np.ndarray, scale: float) -> np.ndarray:
+    """action carried to V through phi's basis, plus scale times the projection onto V-perp."""
+    vb = phi.v_basis
+    n = phi.ambient_dim
+    core = vb @ action @ vb.conj().T
+    if phi.subspace_dim == n:
+        return core
+    proj = vb @ vb.conj().T
+    return core + scale * (np.eye(n) - proj)
+
+
 def extend_operator(phi: SubspaceOperator, tol: Tolerances | None = None) -> np.ndarray:
     """The full-space operator agreeing with phi on V and scaling V-perp.
 
@@ -32,13 +43,7 @@ def extend_operator(phi: SubspaceOperator, tol: Tolerances | None = None) -> np.
     """
     tol = tol or DEFAULT_TOL
     dec = _action_svd(phi, tol)
-    vb = phi.v_basis
-    n = phi.ambient_dim
-    core = vb @ phi.action @ vb.conj().T
-    if phi.subspace_dim == n:
-        return core
-    proj = vb @ vb.conj().T
-    return core + float(dec.singulars[-1]) * (np.eye(n) - proj)
+    return _on_full_space(phi, phi.action, float(dec.singulars[-1]))
 
 
 def extended_inverse(phi: SubspaceOperator, tol: Tolerances | None = None) -> np.ndarray:
@@ -49,10 +54,4 @@ def extended_inverse(phi: SubspaceOperator, tol: Tolerances | None = None) -> np
     tol = tol or DEFAULT_TOL
     dec = _action_svd(phi, tol)
     act_inv = (dec.right / dec.singulars) @ dec.left.conj().T
-    vb = phi.v_basis
-    n = phi.ambient_dim
-    core = vb @ act_inv @ vb.conj().T
-    if phi.subspace_dim == n:
-        return core
-    proj = vb @ vb.conj().T
-    return core + (1.0 / float(dec.singulars[-1])) * (np.eye(n) - proj)
+    return _on_full_space(phi, act_inv, 1.0 / float(dec.singulars[-1]))

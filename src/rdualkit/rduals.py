@@ -196,7 +196,8 @@ def recover_type_III(
     tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
     _require_same_dim(omega.dim, e.dim, h.dim, q.q.shape[0], s_f_sqrt.shape[0])
-    if np.linalg.norm(s_f_sqrt - s_f_sqrt.conj().T) > tol.exact_rel * max(1.0, np.linalg.norm(s_f_sqrt)):
+    # the asymmetry of a computed Hermitian matrix is roundoff relative to its own norm
+    if np.linalg.norm(s_f_sqrt - s_f_sqrt.conj().T) > tol.exact_rel * np.linalg.norm(s_f_sqrt):
         raise NotHermitian("s_f_sqrt must be Hermitian")
     try:
         q_inv = linalg.inverse(q.q, tol)
@@ -237,7 +238,8 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
     coeff = e_basis.mat.conj().T @ fac_f.parseval()
     reproduced = ext @ h_basis.mat @ coeff.T
     residual = float(np.linalg.norm(omega.mat - reproduced))
-    budget = tol.cert_rel * max(1.0, float(np.linalg.norm(omega.mat)))
+    # the reproduction is omega to roundoff relative to omega's norm, at every scale
+    budget = tol.cert_rel * float(np.linalg.norm(omega.mat))
     if residual > budget:
         raise CertificationFailed(f"reproduction residual {residual:.3e} exceeds budget {budget:.3e}")
     return RDualCertificate(e_basis=e_basis, h_basis=h_basis, s_omega_sqrt_ext=ext, residual=residual)
@@ -246,7 +248,7 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
 def _ext_inverse(fac_ext: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
     """Invert a certificate's extended root, which must be Hermitian, from fac_ext, its factorization."""
     ext = fac_ext.mat
-    if np.linalg.norm(ext - ext.conj().T) > tol.exact_rel * max(1.0, np.linalg.norm(ext)):
+    if np.linalg.norm(ext - ext.conj().T) > tol.exact_rel * np.linalg.norm(ext):
         raise CertificationFailed("certificate operator is not Hermitian")
     try:
         return fac_ext.inverse()

@@ -14,6 +14,12 @@ inner products of the Parsevalized source sequence against its first member;
 its sum is reported without any accuracy claim because away from the Parseval
 case its error can be of order one.
 
+With H the matrix of h, P the cyclic shift of coordinates and S^{1/2} the
+extended square root, U = H P H^*, so V_j(h_k) = S^{-1/2} H P^j x_k for
+x_k = H^* S^{1/2} h_k, the k-th column of X = H^* S^{1/2} H. Hence
+Lambda_k = S^{-1/2} H C(x_k) H^*, where the circulant C(x) has entries
+C(x)[i, j] = x[(i - j) mod n]: the family needs X and no power of U.
+
 The extended square root, its inverse and the span of omega are closed
 forms in one SVD of omega (frames.FactoredSequence), so building the shift
 family costs one factorization and the coefficients reuse it. The 2n + 1
@@ -41,10 +47,11 @@ from .types import (
 
 @dataclass(frozen=True)
 class ShiftFamily:
-    """Cyclic shift plus its conjugations by the extended square root.
+    """Cyclic shift plus the extended square roots that conjugate it.
 
-    v_ops[j] equals s_inv_sqrt_ext @ u^j @ s_sqrt_ext, with v_ops[0] the
-    identity; u itself is unitary. span holds orthonormal columns spanning
+    The family's V_j is s_inv_sqrt_ext @ u^j @ s_sqrt_ext, with u unitary;
+    lambda_family builds its Lambda_k from the circulant form in the module
+    docstring, so no V_j is stored. span holds orthonormal columns spanning
     the numerical range of omega, from the same factorization, and source
     is the synthesis matrix of that omega. inv_sqrt_norm is the operator
     norm of s_inv_sqrt_ext, 1 / sigma_r for the smallest singular value
@@ -52,7 +59,6 @@ class ShiftFamily:
     """
 
     u: np.ndarray
-    v_ops: tuple[np.ndarray, ...]
     s_sqrt_ext: np.ndarray
     s_inv_sqrt_ext: np.ndarray
     span: np.ndarray
@@ -61,7 +67,6 @@ class ShiftFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "u", as_operator(self.u))
-        object.__setattr__(self, "v_ops", tuple(as_operator(v) for v in self.v_ops))
         object.__setattr__(self, "s_sqrt_ext", as_operator(self.s_sqrt_ext))
         object.__setattr__(self, "s_inv_sqrt_ext", as_operator(self.s_inv_sqrt_ext))
 
@@ -119,27 +124,13 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | 
     tol = tol or DEFAULT_TOL
     if omega.dim != h.dim:
         raise DimensionMismatch(f"dimensions differ: {omega.dim} vs {h.dim}")
-    n = omega.dim
     fac = frames.FactoredSequence.of(omega, tol)
     if fac.rank == 0:
         raise ZeroSequence("the sequence spans nothing; no shift family exists")
-    ext = fac.sqrt_ext()
-    ext_inv = fac.inv_sqrt_ext()
-
-    rolled = np.roll(h.mat, -1, axis=1)
-    u = rolled @ h.mat.conj().T
-
-    # u^0 is the identity, so v_ops[0] is exact by definition
-    v_ops = [np.eye(n, dtype=complex)]
-    power = np.eye(n, dtype=complex)
-    for _ in range(1, n):
-        power = u @ power
-        v_ops.append(ext_inv @ power @ ext)
     return ShiftFamily(
-        u=u,
-        v_ops=tuple(v_ops),
-        s_sqrt_ext=ext,
-        s_inv_sqrt_ext=ext_inv,
+        u=np.roll(h.mat, -1, axis=1) @ h.mat.conj().T,
+        s_sqrt_ext=fac.sqrt_ext(),
+        s_inv_sqrt_ext=fac.inv_sqrt_ext(),
         span=fac.span,
         source=omega.mat,
         inv_sqrt_norm=float(1.0 / fac.dec.singulars[fac.rank - 1]),
@@ -147,16 +138,20 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | 
 
 
 def lambda_family(fam: ShiftFamily, h: OrthonormalBasis) -> list[np.ndarray]:
-    """The operators Lambda_k with Lambda_k(g) = sum_j <g, h_j> V_j(h_k)."""
+    """The operators Lambda_k with Lambda_k(g) = sum_j <g, h_j> V_j(h_k).
+
+    Built in the circulant form of the module docstring: one gather of
+    X = H^* S^{1/2} H into the stack of C(x_k), then one broadcast product.
+    """
     if fam.dim != h.dim:
         raise DimensionMismatch(f"dimensions differ: {fam.dim} vs {h.dim}")
     n = h.dim
     analysis = h.mat.conj().T
-    out = []
-    for k in range(n):
-        images = np.column_stack([fam.v_ops[j] @ h.mat[:, k] for j in range(n)])
-        out.append(images @ analysis)
-    return out
+    x = analysis @ fam.s_sqrt_ext @ h.mat
+    # circulants[k, i, j] = x[(i - j) mod n, k]
+    shifts = (np.arange(n)[:, None] - np.arange(n)) % n
+    circulants = x.T[:, shifts]
+    return list((fam.s_inv_sqrt_ext @ h.mat) @ circulants @ analysis)
 
 
 def coefficients(

@@ -168,7 +168,8 @@ class Svd:
     a[k]. The stack's matrices share one engine run: each round's pair
     indices are offset to every matrix's rows. operator_norm runs the same
     engine on A alone, without V, in chunks whose work array takes at most
-    the bytes of 128 rows of svd's [A; V]; the linalg module says why.
+    the bytes of _STACK_ROWS = 272 rows of svd's [A; V]; the linalg module
+    says why.
     """
 
     left: np.ndarray

@@ -34,6 +34,11 @@ def seq_with_sv(rng, n, sv):
     return VectorSeq(onb_mat(rng, n) @ np.diag(pad) @ onb_mat(rng, n).conj().T)
 
 
+def shift_op(fam, j):
+    """V_j by its definition, the j-th power of the shift conjugated by the extended square root."""
+    return fam.s_inv_sqrt_ext @ np.linalg.matrix_power(fam.u, j) @ fam.s_sqrt_ext
+
+
 # the report's norms and numpy's are both accurate to a few roundoffs
 # relative to each norm, so they agree to this relative level
 ORACLE_REL = 1e-12
@@ -199,7 +204,7 @@ def test_criterion_7_inverse_sqrt_representation():
         fam = representation.build_shift_family(w, h)
         base = fam.s_inv_sqrt_ext @ h.mat[:, 0]
         for j in range(n):
-            assert np.linalg.norm(fam.v_ops[j] @ base - fam.s_inv_sqrt_ext @ h.mat[:, j]) <= 1e-11
+            assert np.linalg.norm(shift_op(fam, j) @ base - fam.s_inv_sqrt_ext @ h.mat[:, j]) <= 1e-11
         lams = representation.lambda_family(fam, h)
         co = representation.coefficients(w, w, h, fam)
         report = representation.represent_inv_sqrt(fam, lams, co)

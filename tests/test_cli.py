@@ -7,7 +7,7 @@ import pytest
 
 from rdualkit import cli, generators, io, rduals
 from rdualkit.errors import UsageError
-from rdualkit.types import OrthonormalBasis
+from rdualkit.types import OrthonormalBasis, VectorSeq
 
 
 def seq_file(tmp_path, name, mat, label=None):
@@ -114,6 +114,44 @@ def test_recover_with_explicit_sqrt(desk, tmp_path):
     sqrt_path = seq_file(tmp_path, "sq.json", np.diag([2.0, 1.0]))
     report = cli.run(["recover", desk["w"], "--cert", bare, "--sf-sqrt", sqrt_path])
     assert report.verdict == "pass"
+
+
+def _scaled_certificate(tmp_path, c):
+    """n = 6: files for f with spectrum geomspace(2, 0.5) times c, its type-I dual omega and their
+    certificate; returns the paths, f, omega and the certify report."""
+    n = 6
+    f = c * generators.generate_sequence(n, "spectrum", np.geomspace(2.0, 0.5, n), seed=7).mat
+    e = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=8))
+    h = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=9))
+    omega = rduals.rdual_type_I(VectorSeq(f), e, h).mat
+    paths = {"f": seq_file(tmp_path, "f.json", f), "omega": seq_file(tmp_path, "omega.json", omega)}
+    paths["cert"] = str(tmp_path / "cert.json")
+    certified = cli.run(["certify", paths["f"], paths["omega"], "--out", paths["cert"]])
+    assert certified.verdict == "pass"
+    return paths, f, omega, certified
+
+
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e8])
+def test_certify_recover_round_trip_at_every_scale(tmp_path, c):
+    paths, f, omega, certified = _scaled_certificate(tmp_path, c)
+    # the certify budget is cert_rel times the norm of omega, with no floor
+    assert certified.residuals[0]["tolerance"] == certified.tolerances.cert_rel * np.linalg.norm(omega)
+    report = cli.run(["recover", paths["omega"], "--cert", paths["cert"]])
+    assert report.verdict == "pass"
+    recovered = io.matrix_from_payload(report.results["recovered"])
+    assert np.max(np.abs(recovered - f)) <= 1e-12 * c
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-8, 1.0])
+def test_recover_rejects_a_wrong_omega_at_every_scale(tmp_path, c):
+    # the reproduction residual of a wrong omega is of order ||omega||; the
+    # budget cert_rel * max(1, ||omega||) passed it for c <= 1e-10
+    paths, _, _, _ = _scaled_certificate(tmp_path, c)
+    wrong = seq_file(tmp_path, "wrong.json", c * np.random.default_rng(63).standard_normal((6, 6)))
+    report = cli.run(["recover", wrong, "--cert", paths["cert"]])
+    assert report.verdict == "fail"
+    (entry,) = report.residuals
+    assert entry["value"] > 1e3 * entry["tolerance"]
 
 
 def test_gamma_desk_pair(desk):

@@ -87,14 +87,17 @@ def test_represent_pipeline_counts(counts):
     h = _onb(40)
     fam = representation.build_shift_family(omega, h)
     assert counts() == (1, 1, 0)
+    # the Lambda_k are products with circulants, and factor nothing
     lambdas = representation.lambda_family(fam, h)
+    assert counts() == (0, 0, 0)
+    # f once, for its Parsevalization; omega is not factored again
     co = representation.coefficients(f, omega, h, fam)
+    assert counts() == (1, 1, 0)
+    # one operator norm per Lambda_k, per prefix and for the c-family sum,
+    # all 2N + 1 in one values-only pass, so the whole pipeline factors
+    # 2N + 3 matrices in 3 calls
     representation.represent_inv_sqrt(fam, lambdas, co)
-    # f once (Parsevalization), then one operator norm per Lambda_k, per
-    # prefix and for the c-family sum, all 2N + 1 in one values-only pass;
-    # omega is not factored again, so the whole pipeline factors 2N + 3
-    # matrices in 3 calls
-    assert counts() == (2, 2 * N + 2, 0)
+    assert counts() == (1, 2 * N + 1, 0)
 
 
 def test_matrix_helper_counts(counts):

@@ -1,18 +1,22 @@
 """Type-I/III duals, Q validation, symmetrical certificates, pair decisions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rdualkit import frames, generators, linalg, rduals
 from rdualkit.errors import (
     BoundsMismatch,
+    CertificationFailed,
     DimensionMismatch,
+    NotHermitian,
     QInverseTooLarge,
     QSingular,
     QTooLarge,
     RankMismatch,
 )
-from rdualkit.types import RIESZ_BASIS, OrthonormalBasis, VectorSeq
+from rdualkit.types import DEFAULT_TOL, RIESZ_BASIS, OrthonormalBasis, VectorSeq
 
 
 def onb(rng, n):
@@ -258,6 +262,49 @@ def test_recover_symmetrical_desk_example():
     s_f_sqrt = linalg.psd_sqrt(frames.frame_operator(DESK_F))
     back = rduals.recover_symmetrical(DESK_W, cert, s_f_sqrt)
     assert np.max(np.abs(back.mat - DESK_F.mat)) <= 1e-12
+
+
+def _scaled_pair(c, n=6):
+    """f with spectrum geomspace(2, 0.5) times c, its type-I dual omega, and the bases."""
+    f = VectorSeq(c * generators.generate_sequence(n, "spectrum", np.geomspace(2.0, 0.5, n), seed=7).mat)
+    e = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=8))
+    h = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=9))
+    return f, rduals.rdual_type_I(f, e, h), e, h
+
+
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e8])
+def test_certify_recover_round_trip_at_every_scale(c):
+    # the reproduction is roundoff relative to the norm of omega, so its
+    # budget cert_rel * ||omega|| holds at every scale
+    f, omega, _, _ = _scaled_pair(c)
+    cert = rduals.certify_symmetrical_pair(f, omega)
+    assert cert.residual <= 1e-13 * np.linalg.norm(omega.mat)
+    back = rduals.recover_symmetrical(omega, cert, frames.FactoredSequence.of(f, DEFAULT_TOL).sqrt())
+    assert np.max(np.abs(back.mat - f.mat)) <= 1e-12 * c
+
+
+def test_hermitian_checks_are_relative_to_the_operator():
+    # at the 1e-13 scale a skew part as large as the operator itself passed
+    # the floor exact_rel * max(1, ||s||), which is 1e-12 absolute there
+    c = 1e-13
+    f, omega, e, h = _scaled_pair(c)
+    n = f.dim
+    skew = c * np.triu(np.ones((n, n)), 1)
+    s_f_sqrt = frames.FactoredSequence.of(f, DEFAULT_TOL).sqrt()
+    q = rduals.validate_q(s_f_sqrt, f)
+    omega3 = rduals.rdual_type_III(f, e, h, q)
+    back = rduals.recover_type_III(omega3, e, h, q, s_f_sqrt)
+    assert np.max(np.abs(back.mat - f.mat)) <= 1e-12 * c
+    with pytest.raises(NotHermitian):
+        rduals.recover_type_III(omega3, e, h, q, s_f_sqrt + skew)
+
+    cert = rduals.certify_symmetrical_pair(f, omega)
+    rduals.recover_symmetrical(omega, cert, s_f_sqrt)
+    bent = dataclasses.replace(cert, s_omega_sqrt_ext=cert.s_omega_sqrt_ext + skew)
+    with pytest.raises(CertificationFailed, match="not Hermitian"):
+        rduals.recover_symmetrical(omega, bent, s_f_sqrt)
+    with pytest.raises(CertificationFailed, match="not Hermitian"):
+        rduals.gamma_sequence(f, bent)
 
 
 def test_gamma_identity_case():

@@ -26,6 +26,11 @@ def seq_with_sv(rng, n, sv):
     return VectorSeq(p @ np.diag(pad) @ q.conj().T)
 
 
+def shift_op(fam, j):
+    """V_j by its definition, the j-th power of the shift conjugated by the extended square root."""
+    return fam.s_inv_sqrt_ext @ np.linalg.matrix_power(fam.u, j) @ fam.s_sqrt_ext
+
+
 # the report's norms and numpy's are both accurate to a few roundoffs
 # relative to each norm, so they agree to this relative level
 ORACLE_REL = 1e-12
@@ -52,15 +57,15 @@ def test_shift_family_identity_case():
     assert np.allclose(fam.s_sqrt_ext, np.eye(4))
     power = np.eye(4)
     for j in range(4):
-        assert np.allclose(fam.v_ops[j], power, atol=1e-12)
+        assert np.allclose(shift_op(fam, j), power, atol=1e-12)
         power = fam.u @ power
 
 
 def test_shift_family_desk_example():
     _, fam, _, _ = desk_setup()
     assert np.allclose(frames.frame_operator(DESK_OMEGA), np.diag([4.0, 1.0]))
-    assert np.allclose(fam.v_ops[1], np.array([[0.0, 0.5], [2.0, 0.0]]), atol=1e-12)
-    assert np.allclose(fam.v_ops[0], np.eye(2))
+    assert np.allclose(shift_op(fam, 1), np.array([[0.0, 0.5], [2.0, 0.0]]), atol=1e-12)
+    assert np.allclose(shift_op(fam, 0), np.eye(2))
     assert np.allclose(fam.s_inv_sqrt_ext, np.diag([0.5, 1.0]), atol=1e-12)
 
 
@@ -74,7 +79,7 @@ def test_shift_family_property_i_seeded():
         fam = representation.build_shift_family(w, h)
         base = fam.s_inv_sqrt_ext @ h.mat[:, 0]
         for j in range(n):
-            lhs = fam.v_ops[j] @ base
+            lhs = shift_op(fam, j) @ base
             rhs = fam.s_inv_sqrt_ext @ h.mat[:, j]
             assert np.linalg.norm(lhs - rhs) <= 1e-11
         # the shift is unitary and the family really is the conjugated powers
@@ -105,6 +110,22 @@ def test_lambda_desk_example():
     assert np.allclose(lams[0], np.diag([1.0, 2.0]), atol=1e-12)
 
 
+def test_lambda_family_matches_its_definition_seeded():
+    # Lambda_k = sum_j V_j h_k h_j^H, entry for entry, against the circulant
+    # form lambda_family builds; full-rank and rank-deficient omega alike
+    rng = np.random.default_rng(406)
+    for n in (1, 2, 5, 12):
+        for rank in sorted({n, max(1, n // 2)}):
+            w = seq_with_sv(rng, n, rng.uniform(0.4, 2.0, size=rank))
+            h = onb(rng, n)
+            fam = representation.build_shift_family(w, h)
+            lams = representation.lambda_family(fam, h)
+            assert len(lams) == n
+            for k in range(n):
+                want = sum(np.outer(shift_op(fam, j) @ h.mat[:, k], h.mat[:, j].conj()) for j in range(n))
+                assert np.max(np.abs(lams[k] - want)) <= 1e-13 * np.max(np.abs(want)), (n, rank, k)
+
+
 def test_lambda_norm_oracle_seeded():
     # numpy.linalg.norm(., 2) is the oracle, independent of the Jacobi engine
     # whose values-only pass takes the report's norms
@@ -117,7 +138,7 @@ def test_lambda_norm_oracle_seeded():
         lams = representation.lambda_family(fam, h)
         sup = 0.0
         for k in range(n):
-            family = np.column_stack([fam.v_ops[j] @ h.mat[:, k] for j in range(n)])
+            family = np.column_stack([shift_op(fam, j) @ h.mat[:, k] for j in range(n)])
             bound = np.linalg.norm(family, 2) ** 2
             sup = max(sup, bound)
             assert np.linalg.norm(lams[k], 2) <= np.sqrt(bound) + 1e-10
@@ -193,7 +214,7 @@ def test_bessel_bound_trivial_cases():
 
 def test_bessel_bound_desk_family():
     h, fam, _, _ = desk_setup()
-    family = VectorSeq(np.column_stack([fam.v_ops[j] @ h.mat[:, 0] for j in range(2)]))
+    family = VectorSeq(np.column_stack([shift_op(fam, j) @ h.mat[:, 0] for j in range(2)]))
     assert abs(representation.bessel_bound_of_family(family) - 4.0) <= 1e-12
 
 
