@@ -128,14 +128,18 @@ class FactoredSequence(VectorSeq):
         """S^(1/2) = U diag(sigma) U^H."""
         return self._spectral(self.dec.singulars)
 
-    def sqrt_ext(self) -> np.ndarray:
-        """The extended square root U diag(sigma_1, ..., sigma_r, sigma_r, ...) U^H.
+    def sqrt_ext(self) -> "FactoredSequence":
+        """The extended square root U diag(sigma_1, ..., sigma_r, sigma_r, ...) U^H, factored.
 
         This is S^(1/2) restricted to the span and extended by sigma_r on its
         complement, what extension.extend_operator builds from the
-        restricted action.
+        restricted action. It comes with that spectral form as its SVD,
+        left = right = U, so inverting it factors nothing. The rank must
+        be positive; every extended value is then one of sigma_1..sigma_r,
+        which lie above the rank threshold, so the root has full rank.
         """
-        return self._spectral(self._ext_singulars())
+        ext = self._ext_singulars()
+        return FactoredSequence(mat=self._spectral(ext), dec=Svd(self.dec.left, ext, self.dec.left), rank=self.dim)
 
     def inv_sqrt_ext(self) -> np.ndarray:
         """The inverse of sqrt_ext, U diag(1/sigma_1, ..., 1/sigma_r, 1/sigma_r, ...) U^H."""

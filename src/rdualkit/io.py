@@ -4,7 +4,8 @@ One file format covers everything: a sequence file holds a dimension, a
 field tag, and the vectors as lists of entries, each entry a plain number or
 a [re, im] pair. Operators reuse the same layout with columns as vectors, so
 a square matrix and a sequence are interchangeable on disk. Certificates are
-bundles of two basis payloads, two operator payloads, and the residual.
+bundles of two basis payloads, two operator payloads, and the residual; a
+loaded certificate's extended root is factored once, on loading.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 
 import numpy as np
 
+from . import frames
 from .errors import ParseError, ShapeError
 from .rduals import RDualCertificate
 from .types import OrthonormalBasis, Tolerances, VectorSeq
@@ -134,7 +136,8 @@ def certificate_from_payload(payload, tol: Tolerances) -> tuple[RDualCertificate
     """Certificate plus the recovery square root, if the bundle carries one.
 
     Accepts either a bare bundle or a full report with the bundle nested
-    under results.certificate.
+    under results.certificate. The extended root is factored here, by one
+    SVD at tol, which the certificate carries to recovery.
     """
     if isinstance(payload, dict) and "results" in payload:
         payload = payload.get("results", {}).get("certificate")
@@ -149,7 +152,7 @@ def certificate_from_payload(payload, tol: Tolerances) -> tuple[RDualCertificate
     cert = RDualCertificate(
         e_basis=OrthonormalBasis(VectorSeq(matrix_from_payload(payload["e_basis"])), tol=tol),
         h_basis=OrthonormalBasis(VectorSeq(matrix_from_payload(payload["h_basis"])), tol=tol),
-        s_omega_sqrt_ext=matrix_from_payload(payload["s_omega_sqrt_ext"]),
+        fac_ext=frames.FactoredSequence.of(VectorSeq(matrix_from_payload(payload["s_omega_sqrt_ext"])), tol),
         residual=float(residual),
     )
     s_f_sqrt = None

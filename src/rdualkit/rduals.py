@@ -16,6 +16,14 @@ matrices of one operation are factored together, in one stacked engine call
 decide_type_I_pair, f and the certificate's extended root in gamma_sequence
 and coefficient_identity_check, f and Q in validate_q, which reads the frame
 bounds of f off that factorization.
+
+The values keep the factorizations they were built from. A certificate's
+extended root carries the SVD U_w diag(sigma_1..sigma_r, sigma_r, ...) U_w^H
+that certify_symmetrical_pair has in closed form, and a QOperator carries
+the SVD validate_q took of Q, so recover_symmetrical and recover_type_III
+invert them from those SVDs and run no engine pass. gamma_sequence and
+coefficient_identity_check still factor the root's matrix: on ill-conditioned
+pairs the closed-form inverse roughly doubled gamma's biorthogonality defect.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames, linalg
+from . import frames
 from .errors import (
     BoundsMismatch,
     CertificationFailed,
@@ -50,31 +58,39 @@ from .types import (
 
 @dataclass(frozen=True)
 class QOperator:
-    """An invertible operator whose norms fit inside given frame bounds."""
+    """An invertible operator whose norms fit inside given frame bounds.
 
-    q: np.ndarray
+    fac_q is Q with the SVD validate_q took of it; q is its matrix.
+    """
+
+    fac_q: frames.FactoredSequence
     validated_against: FrameBounds
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_operator(self.q))
+    @property
+    def q(self) -> np.ndarray:
+        return self.fac_q.mat
 
 
 @dataclass(frozen=True)
 class RDualCertificate:
     """Witness that omega is the symmetrical type-III dual of some sequence.
 
-    Holds the two orthonormal bases and the extended square root of the
-    dual's frame operator; residual is the verification defect of the
-    reproduction identity.
+    Holds the two orthonormal bases and fac_ext, the extended square root
+    of the dual's frame operator together with an SVD of it: the closed form
+    U_w diag(sigma_1..sigma_r, sigma_r, ...) U_w^H when certified here, one
+    Jacobi SVD of the matrix when loaded from a bundle. s_omega_sqrt_ext is
+    its matrix, read off fac_ext, so the two cannot drift apart. residual is
+    the verification defect of the reproduction identity.
     """
 
     e_basis: OrthonormalBasis
     h_basis: OrthonormalBasis
-    s_omega_sqrt_ext: np.ndarray
+    fac_ext: frames.FactoredSequence
     residual: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "s_omega_sqrt_ext", as_operator(self.s_omega_sqrt_ext))
+    @property
+    def s_omega_sqrt_ext(self) -> np.ndarray:
+        return self.fac_ext.mat
 
 
 @dataclass(frozen=True)
@@ -166,7 +182,7 @@ def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
         raise QInverseTooLarge(
             f"norm(Q^-1) = {1.0 / sv[-1]:.6g} exceeds sqrt(1/lower bound) = {1.0 / np.sqrt(bounds.lower):.6g}"
         )
-    return QOperator(q=fac_q.mat, validated_against=bounds)
+    return QOperator(fac_q=fac_q, validated_against=bounds)
 
 
 def rdual_type_III(
@@ -192,7 +208,11 @@ def recover_type_III(
     s_f_sqrt,
     tol: Tolerances | None = None,
 ) -> VectorSeq:
-    """Invert the type-III construction given the triple and the square root of S_f."""
+    """Invert the type-III construction given the triple and the square root of S_f.
+
+    Q is inverted from the SVD it carries, at tol's rank threshold, so no
+    engine pass runs.
+    """
     tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
     _require_same_dim(omega.dim, e.dim, h.dim, q.q.shape[0], s_f_sqrt.shape[0])
@@ -200,7 +220,7 @@ def recover_type_III(
     if np.linalg.norm(s_f_sqrt - s_f_sqrt.conj().T) > tol.exact_rel * np.linalg.norm(s_f_sqrt):
         raise NotHermitian("s_f_sqrt must be Hermitian")
     try:
-        q_inv = linalg.inverse(q.q, tol)
+        q_inv = frames.FactoredSequence.of(q.fac_q, tol).inverse()
     except SingularAction as exc:
         raise QSingular(str(exc)) from exc
     coeff = h.mat.conj().T @ q_inv @ omega.mat
@@ -214,9 +234,10 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
     and omega = U_w S_w V_w^H, the bases are e = U_f V_w^T and
     h = U_w V_f^T, which carry the Parsevalized f onto the Parsevalized
     omega; the operator is the square root of omega's frame operator
-    extended from span(omega). All three come from the two SVDs, taken in
-    one stacked call. The returned residual measures the reproduction of
-    omega and must sit inside the certification budget.
+    extended from span(omega), which the certificate keeps with its SVD.
+    All three come from the two SVDs, taken in one stacked call. The
+    returned residual measures the reproduction of omega and must sit
+    inside the certification budget.
     """
     tol = tol or DEFAULT_TOL
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
@@ -233,20 +254,23 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
         )
 
     e_basis, h_basis = _aligned_bases(fac_f, fac_w, tol)
-    ext = fac_w.sqrt_ext()
+    fac_ext = fac_w.sqrt_ext()
 
     coeff = e_basis.mat.conj().T @ fac_f.parseval()
-    reproduced = ext @ h_basis.mat @ coeff.T
+    reproduced = fac_ext.mat @ h_basis.mat @ coeff.T
     residual = float(np.linalg.norm(omega.mat - reproduced))
     # the reproduction is omega to roundoff relative to omega's norm, at every scale
     budget = tol.cert_rel * float(np.linalg.norm(omega.mat))
     if residual > budget:
         raise CertificationFailed(f"reproduction residual {residual:.3e} exceeds budget {budget:.3e}")
-    return RDualCertificate(e_basis=e_basis, h_basis=h_basis, s_omega_sqrt_ext=ext, residual=residual)
+    return RDualCertificate(e_basis=e_basis, h_basis=h_basis, fac_ext=fac_ext, residual=residual)
 
 
 def _ext_inverse(fac_ext: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
-    """Invert a certificate's extended root, which must be Hermitian, from fac_ext, its factorization."""
+    """Invert a certificate's extended root, which must be Hermitian, from fac_ext, its factorization.
+
+    fac_ext's rank decides invertibility, so the caller takes it at the call's tol.
+    """
     ext = fac_ext.mat
     if np.linalg.norm(ext - ext.conj().T) > tol.exact_rel * np.linalg.norm(ext):
         raise CertificationFailed("certificate operator is not Hermitian")
@@ -260,13 +284,14 @@ def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol:
     """Recover the original sequence from its symmetrical dual and certificate.
 
     This is the type-III recovery formula with Q taken as the certificate's
-    extended square root, whose adjoint inverse is its plain inverse.
+    extended square root, whose adjoint inverse is its plain inverse. The
+    root is inverted from the SVD the certificate carries, with its rank
+    taken at tol, so no engine pass runs.
     """
     tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
     _require_same_dim(omega.dim, cert.e_basis.dim, cert.h_basis.dim, s_f_sqrt.shape[0])
-    fac_ext = frames.FactoredSequence.of(VectorSeq(cert.s_omega_sqrt_ext), tol)
-    ext_inv = _ext_inverse(fac_ext, tol)
+    ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_ext, tol), tol)
     coeff = cert.h_basis.mat.conj().T @ ext_inv @ omega.mat
     return VectorSeq(s_f_sqrt @ cert.e_basis.mat @ coeff.T)
 

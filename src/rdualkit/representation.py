@@ -129,7 +129,7 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | 
         raise ZeroSequence("the sequence spans nothing; no shift family exists")
     return ShiftFamily(
         u=np.roll(h.mat, -1, axis=1) @ h.mat.conj().T,
-        s_sqrt_ext=fac.sqrt_ext(),
+        s_sqrt_ext=fac.sqrt_ext().mat,
         s_inv_sqrt_ext=fac.inv_sqrt_ext(),
         span=fac.span,
         source=omega.mat,

@@ -70,8 +70,10 @@ def test_pair_operation_counts(counts, rank):
     # f and omega, or f and the extended root, in one stacked call
     cert = rduals.certify_symmetrical_pair(f, omega)
     assert counts() == (1, 2, 0)
+    # the certificate carries its root's SVD, so recovery factors nothing
     rduals.recover_symmetrical(omega, cert, s_f_sqrt)
-    assert counts() == (1, 1, 0)
+    assert counts() == (0, 0, 0)
+    # gamma and the coefficient check still factor the root's matrix
     rduals.gamma_sequence(f, cert)
     assert counts() == (1, 2, 0)
     rduals.coefficient_identity_check(f, omega, cert)
@@ -119,7 +121,13 @@ def test_matrix_helper_counts(counts):
     counts()
     rduals.validate_q(fac_q, f)
     assert counts() == (1, 1, 0)
-    rduals.validate_q(fac_q, fac_f)
+    q_op = rduals.validate_q(fac_q, fac_f)
+    assert counts() == (0, 0, 0)
+    # Q keeps the SVD validate_q took, so type-III recovery factors nothing
+    e, h = _onb(60), _onb(61)
+    omega3 = rduals.rdual_type_III(fac_f, e, h, q_op)
+    counts()
+    rduals.recover_type_III(omega3, e, h, q_op, fac_f.sqrt())
     assert counts() == (0, 0, 0)
 
 
@@ -133,6 +141,18 @@ def test_cli_certify_counts(counts, tmp_path, capsys):
     assert cli.main(["certify", *paths]) == 0
     assert counts() == (1, 2, 0)
     assert '"verdict": "pass"' in capsys.readouterr().out
+
+
+def test_certificate_loading_counts(counts):
+    # a bundle's extended root is factored once, on loading; recovery reuses that SVD
+    f, omega, _ = _pair(N)
+    cert = rduals.certify_symmetrical_pair(f, omega)
+    payload = io.certificate_payload(cert, frames.FactoredSequence.of(f, DEFAULT_TOL).sqrt())
+    counts()
+    loaded, s_f_sqrt = io.certificate_from_payload(payload, DEFAULT_TOL)
+    assert counts() == (1, 1, 0)
+    rduals.recover_symmetrical(omega, loaded, s_f_sqrt)
+    assert counts() == (0, 0, 0)
 
 
 @pytest.fixture
@@ -165,8 +185,8 @@ def cli_files(tmp_path):
 # argv, (engine calls, matrices) and verdict per subcommand; certify is
 # gated above. Each input sequence is factored once, and two inputs of one
 # call together: f and omega, or f and Q for rdual type3; recover factors the
-# bundle's extended root and the recovered sequence, gamma inverts the
-# extended root twice, extend factors the action three times and takes its
+# bundle's extended root on loading and the recovered sequence, gamma inverts
+# the extended root twice, extend factors the action three times and takes its
 # two operator norms in one call, and represent takes its 2N + 1 operator
 # norms in one values-only pass
 CLI_CASES = {

@@ -1,4 +1,4 @@
-"""Property tests: the certify and decide verdicts do not depend on scale or basis.
+"""Property tests: the verdicts and outputs of the pair operations do not depend on scale or basis.
 
 Each case is a sequence f and a type-I dual omega, or omega and an f
 redrawn with its largest singular value, an inner one or its rank changed.
@@ -6,7 +6,10 @@ decide accepts only the type-I dual. certify also accepts the f with an
 inner singular value moved: the symmetrical relation goes through the
 Parsevalized f, so it asks for equal ranks and bounds only. The verdict,
 a pass or the type of the error raised, must be the same for (c f, c omega)
-at every c in [1e-8, 1e8] and for (W f, W omega) under every unitary W. The
+at every c in [1e-8, 1e8] and for (W f, W omega) under every unitary W.
+Recovery and gamma go through certify, so they share its verdict; where it
+passes, the recovered sequence is c f or W f, and gamma, which is
+ext^-2 omega whatever bases certify picks, is gamma / c or W gamma. The
 examples are derandomized, so the suite stays deterministic.
 """
 
@@ -17,10 +20,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rdualkit import rduals  # noqa: E402
+from rdualkit import frames, rduals  # noqa: E402
 from rdualkit.errors import RDualError  # noqa: E402
 from rdualkit.generators import generate_sequence  # noqa: E402
-from rdualkit.types import OrthonormalBasis, VectorSeq  # noqa: E402
+from rdualkit.types import DEFAULT_TOL, OrthonormalBasis, VectorSeq  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 MOVES = ("none", "top", "inner", "rank")
@@ -64,6 +67,28 @@ def _decide(f, omega):
     return rduals.decide_type_I_pair(f, omega).is_pair
 
 
+def _recover_and_gamma(f, omega):
+    """(verdict, recovered, gamma) through one certificate; the verdict is "pass" or the error's type."""
+    try:
+        cert = rduals.certify_symmetrical_pair(f, omega)
+        s_f_sqrt = frames.FactoredSequence.of(f, DEFAULT_TOL).sqrt()
+        back = rduals.recover_symmetrical(omega, cert, s_f_sqrt)
+        return "pass", back.mat, rduals.gamma_sequence(f, cert).mat
+    except RDualError as exc:
+        return type(exc).__name__, None, None
+
+
+def _near(a, b):
+    return np.linalg.norm(a - b) <= DEFAULT_TOL.cert_rel * np.linalg.norm(b)
+
+
+def _biorthogonal(omega, gam):
+    """Biorthogonality to the certification budget, which gamma promises for Riesz bases only."""
+    if frames.classify(omega).rank < omega.dim:
+        return True
+    return np.linalg.norm(frames.cross_gram(omega, VectorSeq(gam)) - np.eye(omega.dim)) <= DEFAULT_TOL.cert_rel
+
+
 def _scaled(c, *seqs):
     return [VectorSeq(c * s.mat) for s in seqs]
 
@@ -97,3 +122,34 @@ def test_verdicts_are_basis_invariant(case, seed):
     w = generate_sequence(f.dim, "onb", seed=seed).mat
     assert _certify(*_rotated(w, f, omega)) == _certify(f, omega)
     assert _decide(*_rotated(w, f, omega)) == _decide(f, omega)
+
+
+@PROPERTY
+@given(case=cases(), exponent=st.floats(-8.0, 8.0))
+def test_recovery_and_gamma_are_scale_invariant(case, exponent):
+    f, omega, move = case
+    c = 10.0**exponent
+    verdict, back, gam = _recover_and_gamma(f, omega)
+    assert (verdict == "pass") == (move in ("none", "inner"))
+    f_c, omega_c = _scaled(c, f, omega)
+    verdict_c, back_c, gam_c = _recover_and_gamma(f_c, omega_c)
+    assert verdict_c == verdict
+    if verdict == "pass":
+        assert _near(back, f.mat) and _near(back_c / c, f.mat)
+        assert _near(c * gam_c, gam)
+        assert _biorthogonal(omega, gam) and _biorthogonal(omega_c, gam_c)
+
+
+@PROPERTY
+@given(case=cases(), seed=st.integers(0, 2**16))
+def test_recovery_and_gamma_are_basis_invariant(case, seed):
+    f, omega, _ = case
+    w = generate_sequence(f.dim, "onb", seed=seed).mat
+    verdict, back, gam = _recover_and_gamma(f, omega)
+    f_w, omega_w = _rotated(w, f, omega)
+    verdict_w, back_w, gam_w = _recover_and_gamma(f_w, omega_w)
+    assert verdict_w == verdict
+    if verdict == "pass":
+        assert _near(back_w, w @ f.mat)
+        assert _near(gam_w, w @ gam)
+        assert _biorthogonal(omega_w, gam_w)

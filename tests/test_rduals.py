@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rdualkit import frames, generators, linalg, rduals
+from rdualkit import frames, generators, io, linalg, rduals
 from rdualkit.errors import (
     BoundsMismatch,
     CertificationFailed,
@@ -300,11 +300,48 @@ def test_hermitian_checks_are_relative_to_the_operator():
 
     cert = rduals.certify_symmetrical_pair(f, omega)
     rduals.recover_symmetrical(omega, cert, s_f_sqrt)
-    bent = dataclasses.replace(cert, s_omega_sqrt_ext=cert.s_omega_sqrt_ext + skew)
+    bent_root = frames.FactoredSequence.of(VectorSeq(cert.s_omega_sqrt_ext + skew), DEFAULT_TOL)
+    bent = dataclasses.replace(cert, fac_ext=bent_root)
     with pytest.raises(CertificationFailed, match="not Hermitian"):
         rduals.recover_symmetrical(omega, bent, s_f_sqrt)
     with pytest.raises(CertificationFailed, match="not Hermitian"):
         rduals.gamma_sequence(f, bent)
+
+
+def _typed_pair(n, kappa, deficit, seed):
+    """f with spectrum geomspace(1, 1/kappa) over its rank n - deficit, and a type-I dual omega."""
+    sv = np.zeros(n)
+    sv[: n - deficit] = np.geomspace(1.0, 1.0 / kappa, n - deficit)
+    f = generators.generate_sequence(n, "spectrum", sv, seed=seed)
+    e = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=seed + 1))
+    h = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=seed + 2))
+    return f, rduals.rdual_type_I(f, e, h)
+
+
+@pytest.mark.parametrize("deficit", [0, 2])
+@pytest.mark.parametrize("kappa", [4.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [16, 48])
+def test_recovery_from_the_carried_root_matches_numpy(n, kappa, deficit):
+    # recovery inverts the extended root from the closed-form SVD the
+    # certificate carries, or, for a loaded bundle, from the one SVD taken on
+    # loading; both recover f's singular values to cert_rel * sigma_1
+    f, omega = _typed_pair(n, kappa, deficit, seed=n + deficit)
+    u, sf, _ = np.linalg.svd(f.mat)
+    s_f_sqrt = (u * sf) @ u.conj().T
+    cert = rduals.certify_symmetrical_pair(f, omega)
+    loaded, _ = io.certificate_from_payload(io.certificate_payload(cert, s_f_sqrt), DEFAULT_TOL)
+    for c in (cert, loaded):
+        back = rduals.recover_symmetrical(omega, c, s_f_sqrt)
+        gap = np.max(np.abs(np.linalg.svd(back.mat, compute_uv=False) - sf))
+        assert gap <= DEFAULT_TOL.cert_rel * sf[0]
+
+
+def test_gamma_biorthogonality_at_n48_kappa_1e6():
+    # gamma inverts the root from a Jacobi SVD of its matrix (about 6e-10
+    # here); the closed-form inverse the certificate carries reaches 1.4e-9
+    f, omega = _typed_pair(48, 1e6, 0, seed=2)
+    gam = rduals.gamma_sequence(f, rduals.certify_symmetrical_pair(f, omega))
+    assert np.linalg.norm(frames.cross_gram(omega, gam) - np.eye(48)) <= DEFAULT_TOL.cert_rel
 
 
 def test_gamma_identity_case():
