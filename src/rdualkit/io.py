@@ -34,14 +34,20 @@ def _entry_to_complex(entry, where: str) -> complex:
     if isinstance(entry, bool):
         raise ParseError(f"{where}: booleans are not numbers")
     if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
+        parts = (entry,)
+    elif (
         isinstance(entry, list)
         and len(entry) == 2
         and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
     ):
-        return complex(entry[0], entry[1])
-    raise ParseError(f"{where}: entries must be numbers or [re, im] pairs")
+        parts = entry
+    else:
+        raise ParseError(f"{where}: entries must be numbers or [re, im] pairs")
+    try:
+        return complex(*parts)
+    except OverflowError as exc:
+        # a JSON integer beyond float range, such as 10**400
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def matrix_from_payload(payload, allow_partial: bool = False) -> np.ndarray:

@@ -299,6 +299,21 @@ def test_report_shape_and_determinism(desk, capsys):
     assert again.out == captured.out
 
 
+def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"dimension": 1, "field_tag": "real", "vectors": [[1%s]]}' % ("0" * 400))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_generate_bad_seed_is_a_domain_failure(capsys):
+    # like --n 0, a negative seed is a BadSpec: verdict fail, exit status 1
+    for argv in (["--n", "0", "--seed", "1"], ["--n", "3", "--seed", "-1"]):
+        assert cli.main(["generate", *argv, "--kind", "onb"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail" and report["results"]["error"] == "BadSpec"
+
+
 def test_tolerance_flags_reach_report(desk):
     report = cli.run(["analyze", desk["eye"], "--tol-rank", "1e-8", "--tol-cert", "1e-7"])
     assert report.tolerances.rank_rel == 1e-8

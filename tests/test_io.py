@@ -43,6 +43,11 @@ def test_parse_shape_and_format_errors(tmp_path):
         io.parse_sequence(
             write(tmp_path, "d.json", {"dimension": 2, "field_tag": "real", "vectors": [[[1, 2], 0], [0, 1]]})
         )
+    # a JSON integer beyond float range, alone or as part of a pair
+    for name, entry in (("f.json", 10**400), ("g.json", [1, -(10**400)])):
+        payload = {"dimension": 2, "field_tag": "complex", "vectors": [[entry, 0], [0, 1]]}
+        with pytest.raises(ParseError, match="vector 0 entry 0"):
+            io.parse_sequence(write(tmp_path, name, payload))
     bad = tmp_path / "e.json"
     bad.write_text("{not json")
     with pytest.raises(ParseError):
@@ -113,3 +118,12 @@ def test_generate_bad_specs():
         generators.generate_sequence(2, "spectrum", singular_values=[1.0, 1.0, 1.0])
     with pytest.raises(BadSpec):
         generators.generate_sequence(2, "onb", singular_values=[1.0])
+    # n and seed are integers in the sense of operator.index, but not bools
+    for n, seed in ((True, 0), (2.0, 0), ("2", 0), (2, -1), (2, 1.5), (2, False), (2, None)):
+        with pytest.raises(BadSpec):
+            generators.generate_sequence(n, "onb", seed=seed)
+
+
+def test_generate_takes_numpy_integers():
+    a = generators.generate_sequence(np.int64(4), "onb", seed=np.uint32(9))
+    assert np.array_equal(a.mat, generators.generate_sequence(4, "onb", seed=9).mat)

@@ -9,8 +9,11 @@ a pass or the type of the error raised, must be the same for (c f, c omega)
 at every c in [1e-8, 1e8] and for (W f, W omega) under every unitary W.
 Recovery and gamma go through certify, so they share its verdict; where it
 passes, the recovered sequence is c f or W f, and gamma, which is
-ext^-2 omega whatever bases certify picks, is gamma / c or W gamma. The
-examples are derandomized, so the suite stays deterministic.
+ext^-2 omega whatever bases certify picks, is gamma / c or W gamma. CLI
+represent and rdual type1 run in process on files holding the same cases,
+with each file that carries a scale (f and omega, not a basis) multiplied by
+c: the verdict must not move, nor the represent gate relative to its target.
+The examples are derandomized, so the suite stays deterministic.
 """
 
 import numpy as np
@@ -20,12 +23,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rdualkit import frames, rduals  # noqa: E402
+from rdualkit import cli, frames, io, rduals  # noqa: E402
 from rdualkit.errors import RDualError  # noqa: E402
 from rdualkit.generators import generate_sequence  # noqa: E402
 from rdualkit.types import DEFAULT_TOL, OrthonormalBasis, VectorSeq  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+# each CLI example writes files and runs two commands, so fewer examples keep the suite quick
+CLI_PROPERTY = settings(PROPERTY, max_examples=20)
 MOVES = ("none", "top", "inner", "rank")
 
 
@@ -153,3 +158,56 @@ def test_recovery_and_gamma_are_basis_invariant(case, seed):
         assert _near(back_w, w @ f.mat)
         assert _near(gam_w, w @ gam)
         assert _biorthogonal(omega_w, gam_w)
+
+
+def _files(directory, **mats):
+    paths = {}
+    for name, mat in mats.items():
+        paths[name] = str(directory / f"{name}.json")
+        io.write_json(paths[name], io.sequence_payload(mat))
+    return paths
+
+
+def _pairs(values):
+    return np.array([complex(re, im) for re, im in values])
+
+
+@CLI_PROPERTY
+@given(case=cases(), exponent=st.floats(-8.0, 8.0), zero=st.booleans())
+def test_cli_represent_verdict_is_scale_invariant(tmp_path_factory, case, exponent, zero):
+    f, omega, _ = case
+    omega = 0.0 * omega.mat if zero else omega.mat
+    c = 10.0**exponent
+    paths = _files(tmp_path_factory.mktemp("represent"), f=f.mat, omega=omega, f_c=c * f.mat, omega_c=c * omega)
+    plain = cli.run(["represent", paths["f"], paths["omega"]])
+    scaled = cli.run(["represent", paths["f_c"], paths["omega_c"]])
+    # a zero omega has no shift family; every other omega gets a measured report
+    assert plain.verdict == scaled.verdict == ("fail" if zero else "measured")
+    if not zero:
+        # the target and the a-family scale as 1 / c, and so does the gate on error_a
+        (gate,) = [r for r in plain.residuals if r["name"] == "error_a"]
+        (gate_c,) = [r for r in scaled.residuals if r["name"] == "error_a"]
+        assert gate["value"] <= gate["tolerance"] and gate_c["value"] <= gate_c["tolerance"]
+        assert c * gate_c["tolerance"] == pytest.approx(gate["tolerance"], rel=1e-10)
+        a = _pairs(plain.results["a"])
+        assert _near(c * _pairs(scaled.results["a"]), a)
+
+
+@CLI_PROPERTY
+@given(case=cases(), exponent=st.floats(-8.0, 8.0), seed=st.integers(0, 2**16), bad_basis=st.booleans())
+def test_cli_rdual_type1_verdict_is_scale_invariant(tmp_path_factory, case, exponent, seed, bad_basis):
+    f, _, _ = case
+    c = 10.0**exponent
+    e = generate_sequence(f.dim, "onb", seed=seed).mat.copy()
+    if bad_basis:
+        e[:, 0] *= 1.0 + 1e-3
+    h = generate_sequence(f.dim, "onb", seed=seed + 1).mat
+    paths = _files(tmp_path_factory.mktemp("type1"), e=e, h=h, f=f.mat, f_c=c * f.mat)
+    bases = ["--e", paths["e"], "--h", paths["h"]]
+    plain = cli.run(["rdual", "type1", paths["f"], *bases])
+    scaled = cli.run(["rdual", "type1", paths["f_c"], *bases])
+    # only the bases decide the verdict: a basis off orthonormality fails at every scale
+    assert plain.verdict == scaled.verdict == ("fail" if bad_basis else "pass")
+    if not bad_basis:
+        omega = io.matrix_from_payload(plain.results["omega"])
+        assert _near(io.matrix_from_payload(scaled.results["omega"]), c * omega)
