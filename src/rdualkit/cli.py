@@ -76,9 +76,11 @@ def _residual(name: str, value: float, tolerance: float | None = None) -> dict:
 
 
 def _verdict_from(residuals: list) -> str:
-    for entry in residuals:
-        if "tolerance" in entry and entry["value"] > entry["tolerance"]:
-            return FAIL
+    """fail if an asserted residual exceeds its tolerance, else measured if one has no tolerance, else pass."""
+    if any("tolerance" in entry and entry["value"] > entry["tolerance"] for entry in residuals):
+        return FAIL
+    if any("tolerance" not in entry for entry in residuals):
+        return MEASURED
     return PASS
 
 
@@ -101,10 +103,21 @@ def _bounds_dict(bounds) -> dict | None:
     return {"lower": bounds.lower, "upper": bounds.upper}
 
 
-def _add_common(parser: _Parser) -> None:
+def _declare(parser: _Parser, key: str, handler, inputs) -> None:
+    """Add the common flags and declare the command: its report key, its handler and its inputs.
+
+    A handler takes (args, tol) and returns (results, residuals). inputs maps
+    the arguments to the report's inputs, which depend on the arguments alone,
+    so a failure report carries the same inputs a successful run would.
+    """
     parser.add_argument("--tol-rank", type=float, default=None, help="relative rank threshold")
     parser.add_argument("--tol-cert", type=float, default=None, help="certification budget")
     parser.add_argument("--out", default=None, help="also write the report (for generate: the sequence) to this path")
+    parser.set_defaults(key=key, handler=handler, inputs=inputs)
+
+
+def _pair_inputs(args) -> dict:
+    return {"f": args.f, "omega": args.omega}
 
 
 def _build_parser() -> _Parser:
@@ -113,8 +126,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="classify a sequence and report its bounds")
     p.add_argument("seq")
-    _add_common(p)
-    p.set_defaults(key="analyze")
+    _declare(p, "analyze", _cmd_analyze, lambda a: {"seq": a.seq})
 
     rd = sub.add_parser("rdual", help="construct a dual sequence")
     rdsub = rd.add_subparsers(dest="variant", required=True, parser_class=_Parser)
@@ -122,62 +134,55 @@ def _build_parser() -> _Parser:
     p.add_argument("f")
     p.add_argument("--e", required=True, help="first orthonormal basis file")
     p.add_argument("--h", required=True, help="second orthonormal basis file")
-    _add_common(p)
-    p.set_defaults(key="rdual type1")
+    _declare(p, "rdual type1", _cmd_rdual_type1, lambda a: {"f": a.f, "e": a.e, "h": a.h})
     p = rdsub.add_parser("type3", help="dual of the Parsevalized sequence with an operator Q")
     p.add_argument("f")
     p.add_argument("--e", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--q", required=True, help="operator file, validated against the frame operator of f")
-    _add_common(p)
-    p.set_defaults(key="rdual type3")
+    _declare(p, "rdual type3", _cmd_rdual_type3, lambda a: {"f": a.f, "e": a.e, "h": a.h, "q": a.q})
 
     p = sub.add_parser("certify", help="construct and verify the symmetrical dual relation")
     p.add_argument("f")
     p.add_argument("omega")
-    _add_common(p)
-    p.set_defaults(key="certify")
+    _declare(p, "certify", _cmd_certify, _pair_inputs)
 
     p = sub.add_parser("recover", help="rebuild the source sequence from a certificate bundle")
     p.add_argument("omega")
     p.add_argument("--cert", required=True, help="certificate bundle or certify report")
     p.add_argument("--sf-sqrt", default=None, help="operator file overriding the bundled square root")
-    _add_common(p)
-    p.set_defaults(key="recover")
+    _declare(p, "recover", _cmd_recover, _recover_inputs)
 
     p = sub.add_parser("gamma", help="biorthogonal companion sequence of a certified pair")
     p.add_argument("f")
     p.add_argument("omega")
-    _add_common(p)
-    p.set_defaults(key="gamma")
+    _declare(p, "gamma", _cmd_gamma, _pair_inputs)
 
     p = sub.add_parser("decide", help="test whether two sequences are dual under some bases")
     p.add_argument("f")
     p.add_argument("omega")
-    _add_common(p)
-    p.set_defaults(key="decide")
+    _declare(p, "decide", _cmd_decide, _pair_inputs)
 
     p = sub.add_parser("represent", help="series representation of the inverse square root")
     p.add_argument("f")
     p.add_argument("omega")
     p.add_argument("--h", default=None, help="orthonormal basis file; standard basis when omitted")
     p.add_argument("--h0-index", type=int, default=0, help="which basis element plays the base role")
-    _add_common(p)
-    p.set_defaults(key="represent")
+    _declare(
+        p, "represent", _cmd_represent, lambda a: {**_pair_inputs(a), "h": a.h or "standard", "h0_index": a.h0_index}
+    )
 
     p = sub.add_parser("extend", help="extend a subspace operator to the whole space")
     p.add_argument("--phi", required=True, help="k x k action matrix file")
     p.add_argument("--vbasis", required=True, help="file with the k orthonormal subspace vectors")
-    _add_common(p)
-    p.set_defaults(key="extend")
+    _declare(p, "extend", _cmd_extend, lambda a: {"phi": a.phi, "vbasis": a.vbasis})
 
     p = sub.add_parser("generate", help="write a seeded test sequence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=list(generators.KINDS), required=True)
     p.add_argument("--sv", default=None, help="comma-separated singular values for kind 'spectrum'")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(key="generate")
+    _declare(p, "generate", _cmd_generate, lambda a: {"n": a.n, "kind": a.kind, "sv": _parse_sv(a.sv), "seed": a.seed})
     return parser
 
 
@@ -202,7 +207,7 @@ def _cmd_analyze(args, tol):
         "kind": info.kind,
         "bounds": _bounds_dict(info.bounds),
     }
-    return results, [], PASS, None
+    return results, []
 
 
 def _cmd_rdual_type1(args, tol):
@@ -216,7 +221,7 @@ def _cmd_rdual_type1(args, tol):
     budget = tol.cert_rel * max(float(sv_f[0]), float(sv_w[0]))
     residuals = [_residual("singular_transfer", np.max(np.abs(sv_f - sv_w)), budget)]
     results = {"omega": io.sequence_payload(out.mat)}
-    return results, residuals, _verdict_from(residuals), None
+    return results, residuals
 
 
 def _cmd_rdual_type3(args, tol):
@@ -239,7 +244,7 @@ def _cmd_rdual_type3(args, tol):
         "omega": io.sequence_payload(out.mat),
         "validated_bounds": _bounds_dict(q.validated_against),
     }
-    return results, residuals, _verdict_from(residuals), None
+    return results, residuals
 
 
 def _cmd_certify(args, tol):
@@ -249,7 +254,14 @@ def _cmd_certify(args, tol):
     budget = tol.cert_rel * float(np.linalg.norm(omega.mat))
     residuals = [_residual("certificate", cert.residual, budget)]
     results = {"certificate": io.certificate_payload(cert, s_f_sqrt)}
-    return results, residuals, _verdict_from(residuals), None
+    return results, residuals
+
+
+def _recover_inputs(args) -> dict:
+    inputs = {"omega": args.omega, "cert": args.cert}
+    if args.sf_sqrt is not None:
+        inputs["sf_sqrt"] = args.sf_sqrt
+    return inputs
 
 
 def _cmd_recover(args, tol):
@@ -269,7 +281,7 @@ def _cmd_recover(args, tol):
     budget = tol.cert_rel * float(np.linalg.norm(omega.mat))
     residuals = [_residual("reproduction", np.linalg.norm(omega.mat - rebuilt), budget)]
     results = {"recovered": io.sequence_payload(recovered.mat)}
-    return results, residuals, _verdict_from(residuals), None
+    return results, residuals
 
 
 def _cmd_gamma(args, tol):
@@ -280,15 +292,12 @@ def _cmd_gamma(args, tol):
     coeff_gap = rduals.coefficient_identity_check(f, omega, cert, tol)
     riesz = omega.rank == omega.dim
     residuals = [
+        # biorthogonality is only promised for bases; otherwise it is reported unasserted
         _residual("biorthogonality", biorth, tol.cert_rel if riesz else None),
         _residual("coefficient_identity", coeff_gap, tol.cert_rel),
     ]
     results = {"gamma": io.sequence_payload(gam.mat), "omega_is_riesz_basis": riesz}
-    # biorthogonality is only promised for bases; otherwise report it unasserted
-    verdict = _verdict_from(residuals)
-    if not riesz and verdict == PASS:
-        verdict = MEASURED
-    return results, residuals, verdict, None
+    return results, residuals
 
 
 def _cmd_decide(args, tol):
@@ -312,7 +321,7 @@ def _cmd_decide(args, tol):
             _residual("type1_reproduction", decision.type1_residual, tol.cert_rel * np.sqrt(sigma_max_sq)),
             _residual("conjugation", decision.conjugation_residual, tol.cert_rel * sigma_max_sq),
         ]
-    return results, residuals, _verdict_from(residuals), None
+    return results, residuals
 
 
 def _cmd_represent(args, tol):
@@ -345,13 +354,15 @@ def _cmd_represent(args, tol):
             for m, pe, tb in report.tail_table
         ],
     }
+    # error_a carries the budget represent_inv_sqrt already raised on, relative
+    # to the norm of its target, so it cannot fail here; the c-family error and
+    # the modulus gap carry no tolerance, which makes the report measured
     residuals = [
-        # the budget represent_inv_sqrt gated, relative to the norm of its target
         _residual("error_a", report.error_a, tol.cert_rel * fam.inv_sqrt_norm),
         _residual("error_c", report.error_c),
         _residual("modulus_gap", report.modulus_gap),
     ]
-    return results, residuals, MEASURED, None
+    return results, residuals
 
 
 def _cmd_extend(args, tol):
@@ -362,16 +373,17 @@ def _cmd_extend(args, tol):
     ext_inv = extension.extended_inverse(sub, tol)
     action_sv = linalg.svd(action, tol).singulars
     norm_ext, norm_inv = linalg.operator_norm(np.stack([ext, ext_inv]), tol)
+    # the norms are sigma_1 and 1/sigma_k, each found to roundoff relative to itself
     residuals = [
-        _residual("norm_preservation", abs(norm_ext - action_sv[0]), tol.exact_rel),
-        _residual("inverse_norm_preservation", abs(norm_inv - 1.0 / action_sv[-1]), tol.exact_rel),
+        _residual("norm_preservation", abs(norm_ext - action_sv[0]), tol.exact_rel * action_sv[0]),
+        _residual("inverse_norm_preservation", abs(norm_inv - 1.0 / action_sv[-1]), tol.exact_rel / action_sv[-1]),
         _residual("inverse_product", np.linalg.norm(ext @ ext_inv - np.eye(v_basis.shape[0])), _INVERSE_DEFECT),
     ]
     results = {
         "extension": io.sequence_payload(ext),
         "extension_inverse": io.sequence_payload(ext_inv),
     }
-    return results, residuals, _verdict_from(residuals), None
+    return results, residuals
 
 
 def _parse_sv(raw: str | None):
@@ -404,48 +416,7 @@ def _cmd_generate(args, tol):
         "rank": info.rank,
         "bounds": _bounds_dict(info.bounds),
     }
-    return results, residuals, _verdict_from(residuals), payload
-
-
-def _recover_inputs(args) -> dict:
-    inputs = {"omega": args.omega, "cert": args.cert}
-    if args.sf_sqrt is not None:
-        inputs["sf_sqrt"] = args.sf_sqrt
-    return inputs
-
-
-# the report's inputs depend on the arguments alone, so a failure report
-# carries the same inputs a successful run would
-_INPUTS = {
-    "analyze": lambda a: {"seq": a.seq},
-    "rdual type1": lambda a: {"f": a.f, "e": a.e, "h": a.h},
-    "rdual type3": lambda a: {"f": a.f, "e": a.e, "h": a.h, "q": a.q},
-    "certify": lambda a: {"f": a.f, "omega": a.omega},
-    "recover": _recover_inputs,
-    "gamma": lambda a: {"f": a.f, "omega": a.omega},
-    "decide": lambda a: {"f": a.f, "omega": a.omega},
-    "represent": lambda a: {
-        "f": a.f,
-        "omega": a.omega,
-        "h": a.h if a.h is not None else "standard",
-        "h0_index": a.h0_index,
-    },
-    "extend": lambda a: {"phi": a.phi, "vbasis": a.vbasis},
-    "generate": lambda a: {"n": a.n, "kind": a.kind, "sv": _parse_sv(a.sv), "seed": a.seed},
-}
-
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "rdual type1": _cmd_rdual_type1,
-    "rdual type3": _cmd_rdual_type3,
-    "certify": _cmd_certify,
-    "recover": _cmd_recover,
-    "gamma": _cmd_gamma,
-    "decide": _cmd_decide,
-    "represent": _cmd_represent,
-    "extend": _cmd_extend,
-    "generate": _cmd_generate,
-}
+    return results, residuals
 
 
 def run(argv: list[str]) -> RunReport:
@@ -457,27 +428,20 @@ def run(argv: list[str]) -> RunReport:
     """
     args = _build_parser().parse_args(argv)
     tol = _tolerances(args)
-    handler = _HANDLERS[args.key]
-    inputs = _INPUTS[args.key](args)
-    out_payload = None
+    inputs = args.inputs(args)
     try:
-        results, residuals, verdict, out_payload = handler(args, tol)
+        results, residuals = args.handler(args, tol)
+        verdict = _verdict_from(residuals)
     except (UsageError, ParseError, ShapeError):
         raise
     except RDualError as exc:
         results = {"error": type(exc).__name__, "message": str(exc)}
         residuals = []
         verdict = FAIL
-    report = RunReport(
-        command=args.key,
-        inputs=inputs,
-        tolerances=tol,
-        results=results,
-        residuals=residuals,
-        verdict=verdict,
-    )
+    report = RunReport(args.key, inputs, tol, results, residuals, verdict)
     if args.out is not None:
-        io.write_json(args.out, out_payload if out_payload is not None else report.as_dict())
+        # generate writes the sequence it drew; every other run, and a failed generate, its report
+        io.write_json(args.out, results.get("sequence", report.as_dict()))
     return report
 
 
@@ -487,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ShapeError, ValueError) as exc:
+    except (ParseError, ShapeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report.as_dict(), sort_keys=True, indent=2))

@@ -45,6 +45,10 @@ class SingularAction(RDualError):
     """A subspace operator's action matrix is not invertible."""
 
 
+class BoundsOutOfRange(RDualError):
+    """A frame bound sigma^2 lies outside the normal float range: sigma_1^2 overflows or sigma_r^2 underflows."""
+
+
 class QTooLarge(RDualError):
     """norm(Q) exceeds sqrt(upper frame bound)."""
 

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
+from . import frames
 from .errors import SingularAction
-from .types import DEFAULT_TOL, SubspaceOperator, Svd, Tolerances
+from .types import DEFAULT_TOL, SubspaceOperator, Tolerances, VectorSeq
 
 
-def _action_svd(phi: SubspaceOperator, tol: Tolerances) -> Svd:
-    dec = linalg.svd(phi.action, tol)
-    s = dec.singulars
-    if s[0] <= 0.0 or s[-1] <= tol.rank_rel * s[0]:
+def _factored_action(phi: SubspaceOperator, tol: Tolerances) -> frames.FactoredSequence:
+    """The action with its SVD; raises SingularAction unless its rank at tol is full."""
+    fac = frames.FactoredSequence.of(VectorSeq(phi.action), tol)
+    if fac.rank < fac.dim:
         raise SingularAction("the action matrix is singular at the working rank threshold")
-    return dec
+    return fac
 
 
 def _on_full_space(phi: SubspaceOperator, action: np.ndarray, scale: float) -> np.ndarray:
@@ -42,8 +42,8 @@ def extend_operator(phi: SubspaceOperator, tol: Tolerances | None = None) -> np.
     norms of the extension and of its inverse match the subspace operator's.
     """
     tol = tol or DEFAULT_TOL
-    dec = _action_svd(phi, tol)
-    return _on_full_space(phi, phi.action, float(dec.singulars[-1]))
+    fac = _factored_action(phi, tol)
+    return _on_full_space(phi, phi.action, float(fac.dec.singulars[-1]))
 
 
 def extended_inverse(phi: SubspaceOperator, tol: Tolerances | None = None) -> np.ndarray:
@@ -52,6 +52,5 @@ def extended_inverse(phi: SubspaceOperator, tol: Tolerances | None = None) -> np
     Inverts the action on V and scales V-perp by norm(action inverse).
     """
     tol = tol or DEFAULT_TOL
-    dec = _action_svd(phi, tol)
-    act_inv = (dec.right / dec.singulars) @ dec.left.conj().T
-    return _on_full_space(phi, act_inv, 1.0 / float(dec.singulars[-1]))
+    fac = _factored_action(phi, tol)
+    return _on_full_space(phi, fac.inverse(), 1.0 / float(fac.dec.singulars[-1]))

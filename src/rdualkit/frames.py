@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, SingularAction, ZeroSequence
+from .errors import BoundsOutOfRange, DimensionMismatch, SingularAction, ZeroSequence
 from .types import (
     DEFAULT_TOL,
     Classification,
@@ -37,6 +37,11 @@ from .types import (
     VectorSeq,
     ZERO_SEQUENCE,
 )
+
+# sigma^2 is a normal float exactly when sigma lies in [_SQRT_TINY, _SQRT_MAX]; the squares of
+# the singular values below the rank threshold, which count as zero, may underflow
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
+_SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
 def frame_operator(s: VectorSeq) -> np.ndarray:
@@ -104,10 +109,23 @@ class FactoredSequence(VectorSeq):
         """Orthonormal columns spanning the numerical range of the sequence."""
         return self.dec.left[:, : self.rank]
 
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues sigma^2 of the frame operator, descending; raises as _check_squares."""
+        self._check_squares()
+        return self.dec.singulars**2
+
     def bounds(self) -> FrameBounds:
-        """Optimal bounds sigma_r^2 and sigma_1^2; the rank must be positive."""
+        """Optimal bounds sigma_r^2 and sigma_1^2; the rank must be positive. Raises as _check_squares."""
+        self._check_squares()
         sv = self.dec.singulars
+        # scalar squares: numpy's array square, as in spectrum, can differ from them in the last bit
         return FrameBounds(lower=float(sv[self.rank - 1] ** 2), upper=float(sv[0] ** 2))
+
+    def _check_squares(self) -> None:
+        """Raise BoundsOutOfRange unless sigma_1^2 and, at positive rank, sigma_r^2 are normal floats."""
+        sv = self.dec.singulars
+        if sv[0] > _SQRT_MAX or (self.rank > 0 and sv[self.rank - 1] < _SQRT_TINY):
+            raise BoundsOutOfRange(f"sigma^2 out of float range: sigma_1 {sv[0]:.3e}, sigma_r {sv[self.rank - 1]:.3e}")
 
     def parseval(self) -> np.ndarray:
         """S^(+1/2) T = U_r V_r^H."""

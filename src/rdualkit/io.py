@@ -84,7 +84,8 @@ def matrix_from_payload(payload, allow_partial: bool = False) -> np.ndarray:
                 raise ParseError(f"vector {j} entry {i} has a nonzero imaginary part under field_tag 'real'")
             mat[i, j] = value
     if not np.all(np.isfinite(mat)):
-        raise ValueError("entries must be finite")
+        # JSON numbers beyond float range, such as 1e400, and NaN or Infinity literals
+        raise ParseError("entries must be finite")
     return mat
 
 

@@ -59,12 +59,17 @@ Sequence operations factor each input sequence once, by the SVD of its
 synthesis matrix (frames.FactoredSequence), and read the square roots, the
 Parsevalization and the extended square root off that SVD in closed form.
 The helpers that take a Hermitian matrix rather than a sequence (psd_sqrt,
-psd_pinv_sqrt; no operation calls them) go through hermitian_eig, which runs
-the same SVD on the matrix shifted by its Frobenius norm: the shifted matrix
-is positive semidefinite, so its right singular vectors are eigenvectors of
-the original, and the eigenvalues are their Rayleigh quotients (Demmel and
+psd_pinv_sqrt; no operation calls them) share one spectral body,
+_psd_spectral, which maps the eigenvalues of hermitian_eig. hermitian_eig
+checks its input with the package's one Hermitian test, types.is_hermitian,
+relative to the matrix's own norm with no floor at 1, and runs the same SVD
+on the matrix shifted by its Frobenius norm: the shifted matrix is positive
+semidefinite, so its right singular vectors are eigenvectors of the
+original, and the eigenvalues are their Rayleigh quotients (Demmel and
 Veselic, "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
 Appl. 13(4), 1992, use one-sided Jacobi for the Hermitian eigenproblem).
+inverse is for a bare matrix: the operations decide invertibility by
+FactoredSequence.rank and invert with FactoredSequence.inverse.
 
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called here or anywhere else in the library.
@@ -85,6 +90,7 @@ from .types import (
     Tolerances,
     VectorSeq,
     as_operator,
+    is_hermitian,
 )
 
 _SWEEP_CAP = 30
@@ -144,8 +150,7 @@ def hermitian_eig(a, tol: Tolerances | None = None) -> EigenDecomposition:
     tol = tol or DEFAULT_TOL
     a = as_operator(a)
     n = a.shape[0]
-    scale = max(1.0, np.linalg.norm(a))
-    if np.linalg.norm(a - a.conj().T) > tol.exact_rel * scale:
+    if not is_hermitian(a, tol):
         raise NotHermitian("matrix is not Hermitian to working precision")
 
     w = (a + a.conj().T) / 2.0
@@ -360,15 +365,7 @@ def psd_sqrt(a, tol: Tolerances | None = None) -> np.ndarray:
     Eigenvalues slightly negative from roundoff (within rank_rel of the scale)
     are clamped to zero; anything lower raises NotPsd.
     """
-    tol = tol or DEFAULT_TOL
-    dec = hermitian_eig(a, tol)
-    lam = dec.eigenvalues
-    scale = max(abs(lam[0]), abs(lam[-1]))
-    if lam[0] < -tol.rank_rel * scale:
-        raise NotPsd(f"eigenvalue {lam[0]:.3e} is negative beyond the clamp threshold")
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    out = (dec.vectors * root) @ dec.vectors.conj().T
-    return (out + out.conj().T) / 2.0
+    return _psd_spectral(a, tol or DEFAULT_TOL, lambda lam: np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def psd_pinv_sqrt(a, tol: Tolerances | None = None) -> np.ndarray:
@@ -378,14 +375,22 @@ def psd_pinv_sqrt(a, tol: Tolerances | None = None) -> np.ndarray:
     acts only on the span and annihilates the numerical kernel.
     """
     tol = tol or DEFAULT_TOL
+
+    def inv_sqrt(lam):
+        thr = tol.rank_rel * max(lam[-1], 0.0)
+        return np.where(lam > thr, 1.0 / np.sqrt(np.where(lam > thr, lam, 1.0)), 0.0)
+
+    return _psd_spectral(a, tol, inv_sqrt)
+
+
+def _psd_spectral(a, tol: Tolerances, value_map) -> np.ndarray:
+    """V diag(value_map(lam)) V^H over the eigenpairs of a; NotPsd when lam_min < -rank_rel * max |lam|."""
     dec = hermitian_eig(a, tol)
     lam = dec.eigenvalues
     scale = max(abs(lam[0]), abs(lam[-1]))
     if lam[0] < -tol.rank_rel * scale:
         raise NotPsd(f"eigenvalue {lam[0]:.3e} is negative beyond the clamp threshold")
-    thr = tol.rank_rel * max(lam[-1], 0.0)
-    inv = np.where(lam > thr, 1.0 / np.sqrt(np.where(lam > thr, lam, 1.0)), 0.0)
-    out = (dec.vectors * inv) @ dec.vectors.conj().T
+    out = (dec.vectors * value_map(lam)) @ dec.vectors.conj().T
     return (out + out.conj().T) / 2.0
 
 

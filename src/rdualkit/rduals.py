@@ -53,6 +53,7 @@ from .types import (
     Tolerances,
     VectorSeq,
     as_operator,
+    is_hermitian,
 )
 
 
@@ -172,9 +173,9 @@ def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
         raise ZeroSequence("f is the zero sequence; no Q can be validated")
     bounds = fac.bounds()
 
-    sv = fac_q.dec.singulars
-    if sv[0] <= 0.0 or sv[-1] <= tol.rank_rel * sv[0]:
+    if fac_q.rank < fac_q.dim:
         raise QSingular("Q is singular at the working rank threshold")
+    sv = fac_q.dec.singulars
     slack = 1.0 + tol.cert_rel
     if sv[0] > np.sqrt(bounds.upper) * slack:
         raise QTooLarge(f"norm(Q) = {sv[0]:.6g} exceeds sqrt(upper bound) = {np.sqrt(bounds.upper):.6g}")
@@ -216,8 +217,7 @@ def recover_type_III(
     tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
     _require_same_dim(omega.dim, e.dim, h.dim, q.q.shape[0], s_f_sqrt.shape[0])
-    # the asymmetry of a computed Hermitian matrix is roundoff relative to its own norm
-    if np.linalg.norm(s_f_sqrt - s_f_sqrt.conj().T) > tol.exact_rel * np.linalg.norm(s_f_sqrt):
+    if not is_hermitian(s_f_sqrt, tol):
         raise NotHermitian("s_f_sqrt must be Hermitian")
     try:
         q_inv = frames.FactoredSequence.of(q.fac_q, tol).inverse()
@@ -271,8 +271,7 @@ def _ext_inverse(fac_ext: frames.FactoredSequence, tol: Tolerances) -> np.ndarra
 
     fac_ext's rank decides invertibility, so the caller takes it at the call's tol.
     """
-    ext = fac_ext.mat
-    if np.linalg.norm(ext - ext.conj().T) > tol.exact_rel * np.linalg.norm(ext):
+    if not is_hermitian(fac_ext.mat, tol):
         raise CertificationFailed("certificate operator is not Hermitian")
     try:
         return fac_ext.inverse()
@@ -344,8 +343,7 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
     tol = tol or DEFAULT_TOL
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
     dec_f, dec_w = fac_f.dec, fac_w.dec
-    spectra_f = dec_f.singulars**2
-    spectra_w = dec_w.singulars**2
+    spectra_f, spectra_w = fac_f.spectrum(), fac_w.spectrum()
     gap = float(np.max(np.abs(dec_f.singulars - dec_w.singulars)))
     if gap > tol.cert_rel * max(float(dec_f.singulars[0]), float(dec_w.singulars[0])):
         return PairDecision(

@@ -37,6 +37,16 @@ def as_operator(a) -> np.ndarray:
     return mat
 
 
+def is_hermitian(a: np.ndarray, tol: Tolerances) -> bool:
+    """Whether a equals its adjoint to working precision: norm(a - a^H) <= exact_rel * norm(a), Frobenius.
+
+    There is no floor: the asymmetry of a computed Hermitian matrix is roundoff relative to its own norm.
+    Both norms are taken of a over its largest modulus, so the squares they sum neither under- nor overflow.
+    """
+    a = a / max(np.max(np.abs(a)), np.finfo(np.float64).tiny)
+    return bool(np.linalg.norm(a - a.conj().T) <= tol.exact_rel * np.linalg.norm(a))
+
+
 def _freeze(mat: np.ndarray) -> np.ndarray:
     out = np.array(mat, dtype=np.complex128, copy=True)
     out.setflags(write=False)

@@ -116,11 +116,13 @@ def test_recover_with_explicit_sqrt(desk, tmp_path):
     assert report.verdict == "pass"
 
 
-def _scaled_certificate(tmp_path, c):
-    """n = 6: files for f with spectrum geomspace(2, 0.5) times c, its type-I dual omega and their
-    certificate; returns the paths, f, omega and the certify report."""
+def _scaled_certificate(tmp_path, c, rank=6):
+    """n = 6: files for f with spectrum geomspace(2, 0.5) times c, zero past rank, its type-I dual
+    omega and their certificate; returns the paths, f, omega and the certify report."""
     n = 6
-    f = c * generators.generate_sequence(n, "spectrum", np.geomspace(2.0, 0.5, n), seed=7).mat
+    sv = np.zeros(n)
+    sv[:rank] = np.geomspace(2.0, 0.5, n)[:rank]
+    f = c * generators.generate_sequence(n, "spectrum", sv, seed=7).mat
     e = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=8))
     h = OrthonormalBasis(generators.generate_sequence(n, "onb", seed=9))
     omega = rduals.rdual_type_I(VectorSeq(f), e, h).mat
@@ -159,6 +161,29 @@ def test_gamma_desk_pair(desk):
     assert report.verdict == "pass"
     gam = io.matrix_from_payload(report.results["gamma"])
     assert np.allclose(gam, np.array([[0.0, 0.5], [1.0, 0.0]]), atol=1e-12)
+
+
+def test_gamma_rank_deficient_pair_is_measured(tmp_path):
+    # biorthogonality is promised for Riesz bases only, so a rank-deficient
+    # pair reports it without a tolerance and the run is measured
+    paths, _, _, _ = _scaled_certificate(tmp_path, 1.0, rank=4)
+    report = cli.run(["gamma", paths["f"], paths["omega"]])
+    assert report.verdict == "measured"
+    assert report.results["omega_is_riesz_basis"] is False
+    biorth, coeff = report.residuals
+    assert biorth["name"] == "biorthogonality" and "tolerance" not in biorth
+    assert coeff["name"] == "coefficient_identity" and coeff["value"] <= coeff["tolerance"]
+
+
+def test_one_verdict_rule():
+    asserted_ok = {"name": "a", "value": 1.0, "tolerance": 2.0}
+    asserted_broken = {"name": "b", "value": 3.0, "tolerance": 2.0}
+    unasserted = {"name": "c", "value": 5.0}
+    assert cli._verdict_from([]) == "pass"
+    assert cli._verdict_from([asserted_ok]) == "pass"
+    assert cli._verdict_from([asserted_ok, unasserted]) == "measured"
+    assert cli._verdict_from([asserted_broken, unasserted]) == "fail"
+    assert cli._verdict_from([unasserted, asserted_broken]) == "fail"
 
 
 def test_decide_desk_pair(desk):
@@ -267,6 +292,23 @@ def test_extend_desk(desk, tmp_path):
     assert np.allclose(ext, np.diag([2.0, 2.0]))
 
 
+def test_extend_gates_scale_with_the_action(tmp_path):
+    # the norms of the extension and of its inverse are sigma_1 and 1/sigma_k
+    # to roundoff relative to each; an absolute gate failed at c = 1e-4 and 1e4
+    rng = np.random.default_rng(61)
+    action = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    sv = np.linalg.svd(action, compute_uv=False)
+    vbasis = seq_file(tmp_path, "vb.json", generators.random_onb(5, np.random.default_rng(62))[:, :3])
+    for c in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        phi = seq_file(tmp_path, "phi.json", c * action)
+        report = cli.run(["extend", "--phi", phi, "--vbasis", vbasis])
+        assert report.verdict == "pass", c
+        gates = {r["name"]: r for r in report.residuals}
+        exact = report.tolerances.exact_rel
+        assert gates["norm_preservation"]["tolerance"] == pytest.approx(exact * c * sv[0], rel=1e-12)
+        assert gates["inverse_norm_preservation"]["tolerance"] == pytest.approx(exact / (c * sv[-1]), rel=1e-12)
+
+
 def test_generate_writes_sequence(tmp_path):
     out = str(tmp_path / "gen.json")
     report = cli.run(["generate", "--n", "3", "--kind", "spectrum", "--sv", "2,1,1", "--seed", "5", "--out", out])
@@ -304,6 +346,35 @@ def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys):
     path.write_text('{"dimension": 1, "field_tag": "real", "vectors": [[1%s]]}' % ("0" * 400))
     assert cli.main(["analyze", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_float_beyond_range_is_an_input_error(tmp_path, capsys):
+    # json reads 1e400 as inf; the parser rejects it as a ParseError
+    path = tmp_path / "big.json"
+    path.write_text('{"dimension": 1, "field_tag": "real", "vectors": [[1e400]]}')
+    assert cli.main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: entries must be finite\n"
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e170])
+@pytest.mark.parametrize("command", ["analyze", "certify", "gamma", "decide"])
+def test_bounds_outside_float_range_are_a_domain_failure(tmp_path, capsys, command, c):
+    # sigma_r^2 underflowed to 0, a bare ValueError and an input error, and
+    # sigma_1^2 overflowed to inf, printed as Infinity in a passing report
+    f = seq_file(tmp_path, "f.json", c * np.diag([2.0, 1.0]))
+    omega = seq_file(tmp_path, "w.json", c * np.array([[0.0, 2.0], [1.0, 0.0]]))
+    argv = [command, f] if command == "analyze" else [command, f, omega]
+    assert cli.main(argv) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdict"] == "fail" and report["results"]["error"] == "BoundsOutOfRange"
 
 
 def test_generate_bad_seed_is_a_domain_failure(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdualkit import frames, linalg
-from rdualkit.errors import DimensionMismatch, SingularAction, ZeroSequence
+from rdualkit.errors import BoundsOutOfRange, DimensionMismatch, SingularAction, ZeroSequence
 from rdualkit.types import DEFAULT_TOL, PROPER_FRAME_SEQUENCE, RIESZ_BASIS, Tolerances, VectorSeq, ZERO_SEQUENCE
 
 
@@ -66,6 +66,23 @@ def test_optimal_bounds_hand_cases():
 def test_optimal_bounds_rejects_zero():
     with pytest.raises(ZeroSequence):
         frames.optimal_bounds(seq([0, 0], [0, 0]))
+
+
+def test_bounds_outside_float_range_raise():
+    # sigma^2 is a normal float for sigma in [1.5e-154, 1.3e154]; outside it a
+    # lower bound underflowed to 0 (a bare ValueError) and an upper bound to inf
+    for c in (1e-170, 1e-155, 1e155, 1e170):
+        fac = frames.FactoredSequence.of(VectorSeq(c * np.diag([2.0, 1.0])), DEFAULT_TOL)
+        with pytest.raises(BoundsOutOfRange):
+            fac.bounds()
+        with pytest.raises(BoundsOutOfRange):
+            fac.spectrum()
+    for c in (1e-150, 1e150):
+        b = frames.optimal_bounds(seq([2 * c, 0], [0, c]))
+        assert (b.lower, b.upper) == pytest.approx((c * c, 4 * c * c), rel=1e-15)
+    # below the rank threshold a square may underflow: that sigma counts as zero
+    fac = frames.FactoredSequence.of(VectorSeq(np.diag([1.0, 1e-170])), DEFAULT_TOL)
+    assert fac.rank == 1 and fac.bounds().lower == 1.0 and fac.spectrum()[1] == 0.0
 
 
 def test_classify_kinds():

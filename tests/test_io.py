@@ -48,6 +48,12 @@ def test_parse_shape_and_format_errors(tmp_path):
         payload = {"dimension": 2, "field_tag": "complex", "vectors": [[entry, 0], [0, 1]]}
         with pytest.raises(ParseError, match="vector 0 entry 0"):
             io.parse_sequence(write(tmp_path, name, payload))
+    # a JSON float beyond float range parses as inf, and NaN and Infinity are JSON literals to Python
+    for name, entry in (("h.json", "1e400"), ("i.json", "NaN"), ("j.json", "-Infinity")):
+        path = tmp_path / name
+        path.write_text('{"dimension": 1, "field_tag": "real", "vectors": [[%s]]}' % entry)
+        with pytest.raises(ParseError, match="finite"):
+            io.parse_sequence(str(path))
     bad = tmp_path / "e.json"
     bad.write_text("{not json")
     with pytest.raises(ParseError):

@@ -103,6 +103,19 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eig_hermitian_check_has_no_floor():
+    # the floor exact_rel * max(1, ||a||) accepted this matrix, asymmetric
+    # relative to its own norm by sqrt(2), at 1e-13 and rejected it at 1e13;
+    # at 1e-170 both Frobenius norms underflow to 0 unless a is rescaled first
+    a = np.triu(np.ones((4, 4)), 1)
+    for c in (1e-170, 1e-13, 1.0, 1e13, 1e170):
+        with pytest.raises(NotHermitian):
+            hermitian_eig(c * a)
+    for c in (1e-13, 1.0, 1e13):
+        dec = hermitian_eig(c * (a + a.T))
+        assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(c * (a + a.T)))) <= 1e-13 * c * np.linalg.norm(a)
+
+
 def test_psd_sqrt_diagonal_cases():
     assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
     assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-14)

@@ -13,7 +13,10 @@ ext^-2 omega whatever bases certify picks, is gamma / c or W gamma. CLI
 represent and rdual type1 run in process on files holding the same cases,
 with each file that carries a scale (f and omega, not a basis) multiplied by
 c: the verdict must not move, nor the represent gate relative to its target.
-The examples are derandomized, so the suite stays deterministic.
+CLI rdual type3 and extend must also keep their verdict under a unitary W
+applied to every file: f, Q (as W Q W^*) and the bases for type3, the
+subspace basis for extend. The examples are derandomized, so the suite stays
+deterministic.
 """
 
 import numpy as np
@@ -211,3 +214,69 @@ def test_cli_rdual_type1_verdict_is_scale_invariant(tmp_path_factory, case, expo
     if not bad_basis:
         omega = io.matrix_from_payload(plain.results["omega"])
         assert _near(io.matrix_from_payload(scaled.results["omega"]), c * omega)
+
+
+def _verdict(report):
+    """A CLI report's verdict, with the error's type when a domain check raised."""
+    return report.verdict, report.results.get("error")
+
+
+@CLI_PROPERTY
+@given(
+    case=cases(),
+    exponent=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**16),
+    q_kind=st.sampled_from(("bounds", "inside", "oversized")),
+)
+def test_cli_rdual_type3_verdict_is_scale_and_basis_invariant(tmp_path_factory, case, exponent, seed, q_kind):
+    f, _, _ = case
+    n, c = f.dim, 10.0**exponent
+    sv = np.linalg.svd(f.mat, compute_uv=False)
+    top, low = sv[0], sv[np.count_nonzero(sv > DEFAULT_TOL.rank_rel * sv[0]) - 1]
+    # Q spans the bounds of f exactly, sits strictly inside them, or exceeds the upper one
+    q_sv = {"bounds": np.geomspace(top, low, n), "inside": np.full(n, np.sqrt(top * low)), "oversized": 2.0 * sv + top}
+    q = generate_sequence(n, "spectrum", q_sv[q_kind], seed=seed).mat
+    e = generate_sequence(n, "onb", seed=seed + 1).mat
+    h = generate_sequence(n, "onb", seed=seed + 2).mat
+    w = generate_sequence(n, "onb", seed=seed + 3).mat
+    paths = _files(
+        tmp_path_factory.mktemp("type3"),
+        f=f.mat, q=q, e=e, h=h, f_c=c * f.mat, q_c=c * q,
+        f_w=w @ f.mat, q_w=w @ q @ w.conj().T, e_w=w @ e, h_w=w @ h,
+    )
+    verdicts = []
+    for x, b in (("", ""), ("_c", ""), ("_w", "_w")):
+        bases = ["--e", paths["e" + b], "--h", paths["h" + b]]
+        verdicts.append(_verdict(cli.run(["rdual", "type3", paths["f" + x], *bases, "--q", paths["q" + x]])))
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    if q_kind == "oversized":
+        assert verdicts[0] == ("fail", "QTooLarge")
+    elif q_kind == "bounds" and low == sv[-1]:
+        # at full rank omega is Q times a unitary, so it carries the bounds of f
+        assert verdicts[0] == ("pass", None)
+
+
+@CLI_PROPERTY
+@given(
+    n=st.integers(1, 6),
+    data=st.data(),
+    exponent=st.floats(-8.0, 8.0),
+    decades=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+    singular=st.booleans(),
+)
+def test_cli_extend_verdict_is_scale_and_basis_invariant(tmp_path_factory, n, data, exponent, decades, seed, singular):
+    k = data.draw(st.integers(1, n))
+    c = 10.0**exponent
+    sv = np.geomspace(1.0, 10.0**-decades, k)
+    if singular:
+        sv[-1] = 0.0
+    action = generate_sequence(k, "spectrum", sv, seed=seed).mat
+    vbasis = generate_sequence(n, "onb", seed=seed + 1).mat[:, :k]
+    w = generate_sequence(n, "onb", seed=seed + 2).mat
+    paths = _files(tmp_path_factory.mktemp("extend"), phi=action, phi_c=c * action, vb=vbasis, vb_w=w @ vbasis)
+    verdicts = [
+        _verdict(cli.run(["extend", "--phi", paths[phi], "--vbasis", paths[vb]]))
+        for phi, vb in (("phi", "vb"), ("phi_c", "vb"), ("phi", "vb_w"))
+    ]
+    assert verdicts[0] == verdicts[1] == verdicts[2] == (("fail", "SingularAction") if singular else ("pass", None))
