@@ -24,6 +24,7 @@ from .types import (
     SubspaceOperator,
     Tolerances,
     VectorSeq,
+    frobenius_norm,
 )
 
 PASS = "pass"
@@ -251,7 +252,7 @@ def _cmd_certify(args, tol):
     f, omega = _factored([args.f, args.omega], tol)
     cert = rduals.certify_symmetrical_pair(f, omega, tol)
     s_f_sqrt = f.sqrt()
-    budget = tol.cert_rel * float(np.linalg.norm(omega.mat))
+    budget = tol.cert_rel * frobenius_norm(omega.mat)
     residuals = [_residual("certificate", cert.residual, budget)]
     results = {"certificate": io.certificate_payload(cert, s_f_sqrt)}
     return results, residuals
@@ -278,8 +279,8 @@ def _cmd_recover(args, tol):
     g = frames.parsevalize(recovered, tol)
     coeff = cert.e_basis.mat.conj().T @ g.mat
     rebuilt = cert.s_omega_sqrt_ext @ cert.h_basis.mat @ coeff.T
-    budget = tol.cert_rel * float(np.linalg.norm(omega.mat))
-    residuals = [_residual("reproduction", np.linalg.norm(omega.mat - rebuilt), budget)]
+    budget = tol.cert_rel * frobenius_norm(omega.mat)
+    residuals = [_residual("reproduction", frobenius_norm(omega.mat - rebuilt), budget)]
     results = {"recovered": io.sequence_payload(recovered.mat)}
     return results, residuals
 

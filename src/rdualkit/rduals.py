@@ -53,7 +53,9 @@ from .types import (
     Tolerances,
     VectorSeq,
     as_operator,
+    frobenius_norm,
     is_hermitian,
+    pow2_exponent,
 )
 
 
@@ -258,9 +260,9 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
 
     coeff = e_basis.mat.conj().T @ fac_f.parseval()
     reproduced = fac_ext.mat @ h_basis.mat @ coeff.T
-    residual = float(np.linalg.norm(omega.mat - reproduced))
+    residual = frobenius_norm(omega.mat - reproduced)
     # the reproduction is omega to roundoff relative to omega's norm, at every scale
-    budget = tol.cert_rel * float(np.linalg.norm(omega.mat))
+    budget = tol.cert_rel * frobenius_norm(omega.mat)
     if residual > budget:
         raise CertificationFailed(f"reproduction residual {residual:.3e} exceeds budget {budget:.3e}")
     return RDualCertificate(e_basis=e_basis, h_basis=h_basis, fac_ext=fac_ext, residual=residual)
@@ -358,13 +360,17 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
 
     e_basis, h_basis = _aligned_bases(fac_f, fac_w, tol)
     reproduced = h_basis.mat @ (e_basis.mat.conj().T @ f.mat).T
-    type1_residual = float(np.linalg.norm(omega.mat - reproduced))
+    type1_residual = frobenius_norm(omega.mat - reproduced)
 
-    s_f = frames.frame_operator(f)
-    s_w = frames.frame_operator(omega)
+    # the frame operators scale as the square of the pair, so they are formed
+    # from f and omega times one common 2^-e and the residual is scaled back by 2^2e
+    e = pow2_exponent(f.mat, omega.mat)
+    scale = np.ldexp(1.0, -e)
+    s_f = frames.frame_operator(VectorSeq(scale * f.mat))
+    s_w = frames.frame_operator(VectorSeq(scale * omega.mat))
     unitary_part = dec_w.left @ dec_f.left.T
     witness = AntiunitaryWitness(unitary_part=unitary_part)
-    conj_residual = float(np.linalg.norm(s_w @ unitary_part - unitary_part @ np.conj(s_f)))
+    conj_residual = float(np.ldexp(frobenius_norm(s_w @ unitary_part - unitary_part @ np.conj(s_f)), 2 * e))
 
     return PairDecision(
         is_pair=True,

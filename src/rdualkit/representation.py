@@ -174,7 +174,9 @@ def coefficients(
         )
     if not np.array_equal(omega.mat, fam.source):
         raise CertificationFailed("omega is not the sequence the shift family was built from")
-    if np.linalg.norm(f.mat) == 0.0:
+    # the zero test reads f's rank, and parsevalize reuses the same SVD
+    f = frames.FactoredSequence.of(f, tol)
+    if f.rank == 0:
         raise ZeroSequence("the source sequence is zero; its coefficients vanish")
     h0 = h.mat[:, 0]
     analysis = h.mat.conj().T

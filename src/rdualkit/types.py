@@ -47,6 +47,22 @@ def is_hermitian(a: np.ndarray, tol: Tolerances) -> bool:
     return bool(np.linalg.norm(a - a.conj().T) <= tol.exact_rel * np.linalg.norm(a))
 
 
+def pow2_exponent(*arrays: np.ndarray) -> int:
+    """The exponent e that puts the largest modulus over arrays in [2^(e-1), 2^e); 0 when every entry is zero."""
+    return int(np.frexp(max(np.max(np.abs(a)) for a in arrays))[1])
+
+
+def frobenius_norm(x: np.ndarray) -> float:
+    """The Frobenius norm of x, taken as norm(x 2^-e) 2^e with e = pow2_exponent(x).
+
+    Scaling by a power of two is exact, so the squares summed neither
+    overflow nor underflow, and wherever the plain sum of squares does
+    neither, the value is bit for bit np.linalg.norm(x).
+    """
+    e = pow2_exponent(x)
+    return float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e))
+
+
 def _freeze(mat: np.ndarray) -> np.ndarray:
     out = np.array(mat, dtype=np.complex128, copy=True)
     out.setflags(write=False)

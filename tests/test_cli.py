@@ -377,6 +377,39 @@ def test_bounds_outside_float_range_are_a_domain_failure(tmp_path, capsys, comma
     assert report["verdict"] == "fail" and report["results"]["error"] == "BoundsOutOfRange"
 
 
+def _genuine_pair_files(tmp_path, c):
+    """Files of c f and c omega for f of spectrum geomspace(2, 0.5) at n = 6 and omega a type-I dual of it."""
+    f = generators.generate_sequence(6, "spectrum", np.geomspace(2.0, 0.5, 6), seed=1)
+    e = OrthonormalBasis(generators.generate_sequence(6, "onb", seed=2))
+    h = OrthonormalBasis(generators.generate_sequence(6, "onb", seed=3))
+    omega = rduals.rdual_type_I(f, e, h).mat
+    return [seq_file(tmp_path, name, c * mat) for name, mat in (("f", f.mat), ("w", omega))]
+
+
+@pytest.mark.parametrize("c", [2e-153, 1e-150, 1e-100, 1e100, 1e150, 5e153])
+@pytest.mark.parametrize("command", ["certify", "decide", "gamma"])
+def test_gates_hold_across_the_float_band(tmp_path, capsys, command, c):
+    # sigma runs over [0.5 c, 2 c], so 2e-153 and 5e153 put sigma_r at 1e-153
+    # and sigma_1 at 1e154, the edges of the band; a residual or budget whose
+    # squares were summed unscaled overflowed there, or read 0 at the low end
+    assert cli.main([command, *_genuine_pair_files(tmp_path, c)]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdict"] == "pass"
+    for entry in report["residuals"]:
+        assert 0.0 < entry["value"] <= entry["tolerance"], entry
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e170])
+def test_represent_beyond_the_bounds_band(tmp_path, capsys, c):
+    # represent squares no sigma, so it has no band: f is nonzero at any
+    # scale, though the plain sum of its squares underflows at 1e-170
+    assert cli.main(["represent", *_genuine_pair_files(tmp_path, c)]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdict"] == "measured"
+    (entry,) = [r for r in report["residuals"] if r["name"] == "error_a"]
+    assert entry["value"] <= entry["tolerance"]
+
+
 def test_generate_bad_seed_is_a_domain_failure(capsys):
     # like --n 0, a negative seed is a BadSpec: verdict fail, exit status 1
     for argv in (["--n", "0", "--seed", "1"], ["--n", "3", "--seed", "-1"]):

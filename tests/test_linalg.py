@@ -9,7 +9,8 @@ and graded inputs are checked against a 50-digit mpmath SVD for relative
 accuracy of every singular value. A stack of matrices shares one work
 array, and its factors must be bit for bit those of one call per matrix;
 operator_norm's values-only pass, which sweeps A without V, must give svd's
-largest singular value bit for bit.
+largest singular value bit for bit, and neither may change its bits with the
+BLAS thread count.
 hermitian_eig runs the SVD on the matrix shifted by its Frobenius norm, so
 the eigen cases here include indefinite inputs with eigenvalues +-lambda,
 which an unshifted SVD would mix.
@@ -18,7 +19,10 @@ calls no numpy.linalg function but norm, which the source scan below checks.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -457,6 +461,25 @@ def test_operator_norm_is_svd_sigma_max_bit_for_bit():
             got = np.float64(got)
         assert _same_bits(np.asarray(got), want), mats.shape
     assert operator_norm(np.zeros((5, 5))) == 0.0
+
+
+def _engine_digest(threads: str) -> str:
+    code = (
+        "import hashlib, numpy as np; from rdualkit.linalg import svd, operator_norm; "
+        "rng = np.random.default_rng(43); c = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s); "
+        "dec = svd(c(3, 48, 48)); "
+        "print(hashlib.sha256(dec.left.tobytes() + dec.singulars.tobytes() + dec.right.tobytes()"
+        " + operator_norm(c(49, 24, 24)).tobytes()).hexdigest())"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.strip()
+
+
+def test_engine_bits_do_not_depend_on_the_blas_thread_count():
+    # each round's inner products and squared norms may reach BLAS dot kernels
+    assert _engine_digest("1") == _engine_digest("2")
 
 
 def test_operator_norm_no_convergence_reports_progress(monkeypatch):
