@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,18 +49,7 @@ class RunReport:
     verdict: str = PASS
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "tolerances": {
-                "rank_rel": self.tolerances.rank_rel,
-                "cert_rel": self.tolerances.cert_rel,
-                "exact_rel": self.tolerances.exact_rel,
-            },
-            "results": self.results,
-            "residuals": self.residuals,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,12 +201,13 @@ def _cmd_analyze(args, tol):
 
 
 def _cmd_rdual_type1(args, tol):
-    (f,) = _factored([args.f], tol)
+    f = io.parse_sequence(args.f)
     e = _basis_from_file(args.e, tol)
     h = _basis_from_file(args.h, tol)
-    out = rduals.rdual_type_I(f, e, h)
+    # f and its dual are factored together, in one stacked engine call
+    f, out = frames.FactoredSequence.of_all([f, rduals.rdual_type_I(f, e, h)], tol)
     sv_f = f.dec.singulars
-    sv_w = linalg.svd(out.mat, tol).singulars
+    sv_w = out.dec.singulars
     # each computed singular value is off by at most a roundoff multiple of sigma_max
     budget = tol.cert_rel * max(float(sv_f[0]), float(sv_w[0]))
     residuals = [_residual("singular_transfer", np.max(np.abs(sv_f - sv_w)), budget)]
@@ -355,11 +345,10 @@ def _cmd_represent(args, tol):
             for m, pe, tb in report.tail_table
         ],
     }
-    # error_a carries the budget represent_inv_sqrt already raised on, relative
-    # to the norm of its target, so it cannot fail here; the c-family error and
-    # the modulus gap carry no tolerance, which makes the report measured
+    # error_a carries the budget represent_inv_sqrt raised on, so it cannot fail here;
+    # error_c and modulus_gap carry no tolerance, which makes the report measured
     residuals = [
-        _residual("error_a", report.error_a, tol.cert_rel * fam.inv_sqrt_norm),
+        _residual("error_a", report.error_a, report.budget),
         _residual("error_c", report.error_c),
         _residual("modulus_gap", report.modulus_gap),
     ]
@@ -372,8 +361,8 @@ def _cmd_extend(args, tol):
     sub = SubspaceOperator(v_basis.shape[0], v_basis, action, tol=tol)
     ext = extension.extend_operator(sub, tol)
     ext_inv = extension.extended_inverse(sub, tol)
-    action_sv = linalg.svd(action, tol).singulars
-    norm_ext, norm_inv = linalg.operator_norm(np.stack([ext, ext_inv]), tol)
+    action_sv = linalg.svd(action).singulars
+    norm_ext, norm_inv = linalg.operator_norm(np.stack([ext, ext_inv]))
     # the norms are sigma_1 and 1/sigma_k, each found to roundoff relative to itself
     residuals = [
         _residual("norm_preservation", abs(norm_ext - action_sv[0]), tol.exact_rel * action_sv[0]),

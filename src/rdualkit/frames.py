@@ -96,7 +96,7 @@ class FactoredSequence(VectorSeq):
         todo = [s.mat for s in seqs if not isinstance(s, FactoredSequence)]
         fresh = iter(())
         if todo:
-            stack = linalg.svd(np.stack(todo), tol)
+            stack = linalg.svd(np.stack(todo))
             fresh = zip(stack.left, stack.singulars, stack.right)
         decs = [s.dec if isinstance(s, FactoredSequence) else Svd(*next(fresh)) for s in seqs]
         return tuple(

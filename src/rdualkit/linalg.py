@@ -74,7 +74,8 @@ original, and the eigenvalues are their Rayleigh quotients (Demmel and
 Veselic, "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
 Appl. 13(4), 1992, use one-sided Jacobi for the Hermitian eigenproblem).
 inverse is for a bare matrix: the operations decide invertibility by
-FactoredSequence.rank and invert with FactoredSequence.inverse.
+FactoredSequence.rank and invert with FactoredSequence.inverse. The engine
+takes no tolerance; every rank decision applies numerical_rank to factors.
 
 numpy is used for array arithmetic only; no numpy.linalg factorizations are
 called here or anywhere else in the library.
@@ -159,13 +160,13 @@ def hermitian_eig(a, tol: Tolerances | None = None) -> EigenDecomposition:
         raise NotHermitian("matrix is not Hermitian to working precision")
 
     w = (a + a.conj().T) / 2.0
-    v = svd(w + np.linalg.norm(w) * np.eye(n), tol).right
+    v = svd(w + np.linalg.norm(w) * np.eye(n)).right
     lam = np.real(np.einsum("ij,ij->j", v.conj(), w @ v))
     order = np.argsort(lam, kind="stable")
     return EigenDecomposition(eigenvalues=lam[order], vectors=v[:, order])
 
 
-def svd(a, tol: Tolerances | None = None) -> Svd:
+def svd(a) -> Svd:
     """Singular value decomposition by one-sided Jacobi on the columns.
 
     Rotations orthogonalize column pairs directly (implicitly diagonalizing
@@ -184,7 +185,8 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
     column's roundoff residue stays in the span of the others, so rotations
     only shrink it, until its inner products underflow. Raises NoConvergence,
     with the sweeps run and the last sweep's largest normalized pair inner
-    product, if _SWEEP_CAP sweeps do not suffice.
+    product, if _SWEEP_CAP sweeps do not suffice. svd takes no tolerance:
+    rank is decided on its factors, by numerical_rank in FactoredSequence.
 
     a may also be a stack of shape (..., n, n). Its matrices share one work
     array and each round's vecdots and rotation, with every round offset to
@@ -194,7 +196,6 @@ def svd(a, tol: Tolerances | None = None) -> Svd:
     those of one call per matrix, stacked the same way, and NoConvergence
     reports the largest pair measure over the stack.
     """
-    tol = tol or DEFAULT_TOL
     a = _as_stack(a)
     n = a.shape[-1]
     scaled, e = _scaled(a.reshape(-1, n, n))
@@ -316,7 +317,7 @@ def _as_stack(a) -> np.ndarray:
     return mat
 
 
-def operator_norm(a, tol: Tolerances | None = None) -> float | np.ndarray:
+def operator_norm(a) -> float | np.ndarray:
     """Spectral norm, the largest singular value: a float, or an array over a stack (..., n, n).
 
     A values-only pass of the engine: the sweeps rotate the columns of the
@@ -326,7 +327,7 @@ def operator_norm(a, tol: Tolerances | None = None) -> float | np.ndarray:
     swept in the fewest chunks whose work array takes at most the bytes of
     _STACK_ROWS rows of svd's [A; V], of equal size up to one matrix, so a
     long stack costs no more memory than a short one and no pass sweeps a
-    short tail.
+    short tail. Like svd, it takes no tolerance.
     """
     a = _as_stack(a)
     n = a.shape[-1]
@@ -359,13 +360,13 @@ def numerical_rank(singulars: np.ndarray, rank_rel: float) -> int:
 def inverse(a, tol: Tolerances | None = None) -> np.ndarray:
     """Matrix inverse through the one-sided Jacobi SVD.
 
-    Raises SingularAction when the smallest singular value falls at or below
-    the rank threshold.
+    Raises SingularAction when numerical_rank, at tol's rank threshold,
+    falls short of the dimension.
     """
     tol = tol or DEFAULT_TOL
-    dec = svd(a, tol)
+    dec = svd(a)
     s = dec.singulars
-    if s[0] <= 0.0 or s[-1] <= tol.rank_rel * s[0]:
+    if numerical_rank(s, tol.rank_rel) < s.size:
         raise SingularAction("matrix is singular at the working rank threshold")
     return (dec.right / s) @ dec.left.conj().T
 

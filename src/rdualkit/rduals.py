@@ -6,7 +6,9 @@ type-III dual composes the Parsevalized type-I dual with a norm-constrained
 operator Q; choosing Q as the extended square root of the dual's own frame
 operator makes the relation symmetric, and that choice is what the
 certificate here witnesses: two orthonormal bases plus the extended square
-root reproducing the dual sequence column by column.
+root reproducing the dual sequence column by column. certify_symmetrical_pair
+reproduces omega by rdual_type_III with Q the extended root, decide_type_I_pair
+by rdual_type_I, and both recoveries check that the root of S_f is Hermitian.
 
 Each operation factors every input sequence once (frames.FactoredSequence)
 and builds the bases, the extended square root and the pair witness from
@@ -63,7 +65,8 @@ from .types import (
 class QOperator:
     """An invertible operator whose norms fit inside given frame bounds.
 
-    fac_q is Q with the SVD validate_q took of it; q is its matrix.
+    fac_q is Q with the SVD validate_q took of it, or a certificate's
+    extended root with its closed-form SVD; q is its matrix.
     """
 
     fac_q: frames.FactoredSequence
@@ -238,8 +241,8 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
     omega; the operator is the square root of omega's frame operator
     extended from span(omega), which the certificate keeps with its SVD.
     All three come from the two SVDs, taken in one stacked call. The
-    returned residual measures the reproduction of omega and must sit
-    inside the certification budget.
+    returned residual measures the reproduction of omega by rdual_type_III
+    with that root as Q, and must sit inside the certification budget.
     """
     tol = tol or DEFAULT_TOL
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
@@ -257,10 +260,9 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
 
     e_basis, h_basis = _aligned_bases(fac_f, fac_w, tol)
     fac_ext = fac_w.sqrt_ext()
-
-    coeff = e_basis.mat.conj().T @ fac_f.parseval()
-    reproduced = fac_ext.mat @ h_basis.mat @ coeff.T
-    residual = frobenius_norm(omega.mat - reproduced)
+    # the root's norms are sigma_1 and 1 / sigma_r of omega, so omega's bounds validate it exactly
+    q = QOperator(fac_ext, bounds_w)
+    residual = frobenius_norm(omega.mat - rdual_type_III(fac_f, e_basis, h_basis, q, tol).mat)
     # the reproduction is omega to roundoff relative to omega's norm, at every scale
     budget = tol.cert_rel * frobenius_norm(omega.mat)
     if residual > budget:
@@ -287,11 +289,14 @@ def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol:
     This is the type-III recovery formula with Q taken as the certificate's
     extended square root, whose adjoint inverse is its plain inverse. The
     root is inverted from the SVD the certificate carries, with its rank
-    taken at tol, so no engine pass runs.
+    taken at tol, so no engine pass runs. Raises NotHermitian unless
+    s_f_sqrt is Hermitian, as recover_type_III does.
     """
     tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
     _require_same_dim(omega.dim, cert.e_basis.dim, cert.h_basis.dim, s_f_sqrt.shape[0])
+    if not is_hermitian(s_f_sqrt, tol):
+        raise NotHermitian("s_f_sqrt must be Hermitian")
     ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_ext, tol), tol)
     coeff = cert.h_basis.mat.conj().T @ ext_inv @ omega.mat
     return VectorSeq(s_f_sqrt @ cert.e_basis.mat @ coeff.T)
@@ -359,8 +364,7 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
         )
 
     e_basis, h_basis = _aligned_bases(fac_f, fac_w, tol)
-    reproduced = h_basis.mat @ (e_basis.mat.conj().T @ f.mat).T
-    type1_residual = frobenius_norm(omega.mat - reproduced)
+    type1_residual = frobenius_norm(omega.mat - rdual_type_I(f, e_basis, h_basis).mat)
 
     # the frame operators scale as the square of the pair, so they are formed
     # from f and omega times one common 2^-e and the residual is scaled back by 2^2e

@@ -98,13 +98,15 @@ class RepresentationReport:
     errors are operator-norm distances to the inverse extended square root.
     tail_table rows are (prefix_size, partial_error, tail_bound) where the
     bound is the excluded l1 mass of the a-family times sqrt(bessel_sup).
-    modulus_gap records max_i ||a_i| - |c_i|| and carries no assertion.
+    budget is what error_a and every prefix were gated on. modulus_gap
+    records max_i ||a_i| - |c_i|| and carries no assertion.
     """
 
     operator_a: np.ndarray
     operator_c: np.ndarray
     error_a: float
     error_c: float
+    budget: float
     bessel_sup: float
     tail_table: tuple[tuple[int, float, float], ...]
     modulus_gap: float
@@ -195,14 +197,13 @@ def coefficients(
     )
 
 
-def bessel_bound_of_family(vectors: VectorSeq, tol: Tolerances | None = None) -> float:
+def bessel_bound_of_family(vectors: VectorSeq) -> float:
     """Largest eigenvalue of the family's frame operator, its optimal Bessel bound.
 
     That eigenvalue is the square of the largest singular value of the
     synthesis matrix.
     """
-    tol = tol or DEFAULT_TOL
-    return linalg.operator_norm(vectors.mat, tol) ** 2
+    return linalg.operator_norm(vectors.mat) ** 2
 
 
 def represent_inv_sqrt(
@@ -251,7 +252,7 @@ def represent_inv_sqrt(
     # the full sum is the last prefix
     operator_a = partials[-1].copy()
     partials -= target
-    norms = linalg.operator_norm(stack, tol)
+    norms = linalg.operator_norm(stack)
     bessel_sup = float(np.max(norms[:n]) ** 2)
     error_c = float(norms[n])
     partial_errors = norms[n + 1 :]
@@ -277,6 +278,7 @@ def represent_inv_sqrt(
         operator_c=operator_c,
         error_a=float(error_a),
         error_c=float(error_c),
+        budget=budget,
         bessel_sup=bessel_sup,
         tail_table=tuple(rows),
         modulus_gap=modulus_gap,

@@ -41,15 +41,18 @@ def is_hermitian(a: np.ndarray, tol: Tolerances) -> bool:
     """Whether a equals its adjoint to working precision: norm(a - a^H) <= exact_rel * norm(a), Frobenius.
 
     There is no floor: the asymmetry of a computed Hermitian matrix is roundoff relative to its own norm.
-    Both norms are taken of a over its largest modulus, so the squares they sum neither under- nor overflow.
+    a is scaled by a power of two first, which is exact, so a - a^H cannot overflow; both norms are frobenius_norm's.
     """
-    a = a / max(np.max(np.abs(a)), np.finfo(np.float64).tiny)
-    return bool(np.linalg.norm(a - a.conj().T) <= tol.exact_rel * np.linalg.norm(a))
+    a = np.ldexp(1.0, -pow2_exponent(a)) * a
+    return bool(frobenius_norm(a - a.conj().T) <= tol.exact_rel * frobenius_norm(a))
 
 
 def pow2_exponent(*arrays: np.ndarray) -> int:
-    """The exponent e that puts the largest modulus over arrays in [2^(e-1), 2^e); 0 when every entry is zero."""
-    return int(np.frexp(max(np.max(np.abs(a)) for a in arrays))[1])
+    """The exponent e that puts the largest modulus over arrays in [2^(e-1), 2^e); 0 when every entry is zero.
+
+    e is at least -1021, so 2^-e is a finite float: a subnormal largest modulus, below 2^-1022, takes -1021.
+    """
+    return max(int(np.frexp(max(np.max(np.abs(a)) for a in arrays))[1]), -1021)
 
 
 def frobenius_norm(x: np.ndarray) -> float:

@@ -116,6 +116,20 @@ def test_recover_with_explicit_sqrt(desk, tmp_path):
     assert report.verdict == "pass"
 
 
+def test_recover_rejects_a_non_hermitian_root(tmp_path, capsys):
+    # S_f^(1/2) (I + 0.3 G) recovered a sequence 0.55 off f, relative, and the
+    # run reported a reproduction residual of 1.1 instead of an input fault
+    f_path, w_path = _genuine_pair_files(tmp_path, 1.0)
+    cert_path = str(tmp_path / "cert.json")
+    assert cli.run(["certify", f_path, w_path, "--out", cert_path]).verdict == "pass"
+    root = io.matrix_from_payload(io.load_json(cert_path)["results"]["certificate"]["s_f_sqrt"])
+    bend = np.eye(6) + 0.3 * np.random.default_rng(0).standard_normal((6, 6))
+    skewed = seq_file(tmp_path, "skewed.json", root @ bend)
+    assert cli.main(["recover", w_path, "--cert", cert_path, "--sf-sqrt", skewed]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdict"] == "fail" and report["results"]["error"] == "NotHermitian"
+
+
 def _scaled_certificate(tmp_path, c, rank=6):
     """n = 6: files for f with spectrum geomspace(2, 0.5) times c, zero past rank, its type-I dual
     omega and their certificate; returns the paths, f, omega and the certify report."""
@@ -386,17 +400,43 @@ def _genuine_pair_files(tmp_path, c):
     return [seq_file(tmp_path, name, c * mat) for name, mat in (("f", f.mat), ("w", omega))]
 
 
+def _band_argv(tmp_path, command, c):
+    """argv of command on inputs scaled by c: the genuine pair, Q of f's spectrum, or an action phi on a subspace."""
+    f, w = _genuine_pair_files(tmp_path, c)
+    if command in ("rdual type1", "rdual type3"):
+        e, h = (seq_file(tmp_path, f"onb{k}.json", generators.generate_sequence(6, "onb", seed=k).mat) for k in (2, 3))
+        argv = ["rdual", command.split()[1], f, "--e", e, "--h", h]
+        if command == "rdual type3":
+            q = c * generators.generate_sequence(6, "spectrum", np.geomspace(2.0, 0.5, 6), seed=4).mat
+            argv += ["--q", seq_file(tmp_path, "q.json", q)]
+        return argv
+    if command == "recover":
+        cert = str(tmp_path / "cert.json")
+        assert cli.run(["certify", f, w, "--out", cert]).verdict == "pass"
+        return ["recover", w, "--cert", cert]
+    if command == "extend":
+        action = np.random.default_rng(61).standard_normal((3, 3)) + 3.0 * np.eye(3)
+        vbasis = generators.random_onb(5, np.random.default_rng(62))[:, :3]
+        phi = seq_file(tmp_path, "phi.json", c * action)
+        return ["extend", "--phi", phi, "--vbasis", seq_file(tmp_path, "vb.json", vbasis)]
+    return [command, f] if command == "analyze" else [command, f, w]
+
+
 @pytest.mark.parametrize("c", [2e-153, 1e-150, 1e-100, 1e100, 1e150, 5e153])
-@pytest.mark.parametrize("command", ["certify", "decide", "gamma"])
+@pytest.mark.parametrize(
+    "command", ["analyze", "rdual type1", "rdual type3", "certify", "recover", "decide", "gamma", "extend"]
+)
 def test_gates_hold_across_the_float_band(tmp_path, capsys, command, c):
     # sigma runs over [0.5 c, 2 c], so 2e-153 and 5e153 put sigma_r at 1e-153
     # and sigma_1 at 1e154, the edges of the band; a residual or budget whose
-    # squares were summed unscaled overflowed there, or read 0 at the low end
-    assert cli.main([command, *_genuine_pair_files(tmp_path, c)]) == 0
+    # squares were summed unscaled overflowed there, or read 0 at the low end;
+    # extend's norm residuals compare two computed norms and may be exactly 0
+    assert cli.main(_band_argv(tmp_path, command, c)) == 0
     report = _strict_json(capsys.readouterr().out)
     assert report["verdict"] == "pass"
     for entry in report["residuals"]:
-        assert 0.0 < entry["value"] <= entry["tolerance"], entry
+        assert entry["value"] <= entry["tolerance"], entry
+        assert command == "extend" or entry["value"] > 0.0, entry
 
 
 @pytest.mark.parametrize("c", [1e-170, 1e170])

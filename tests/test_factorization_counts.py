@@ -1,10 +1,11 @@
 """Factorization counts per operation: each input sequence is factored once, by SVD.
 
 The counts are deterministic, so they gate regressions. Every call site
-resolves linalg's functions at call time, which lets the fixture count
-internal calls as well by replacing the module attributes. It counts passes
-of the Jacobi engine, linalg._sweeps, which both linalg.svd and the
-values-only linalg.operator_norm run, so an operator norm counts as a
+resolves linalg's functions at call time, which lets the fixtures count
+internal calls as well by replacing the module attributes. The counts read
+the passes of the Jacobi engine, linalg._sweeps, off the shared
+engine_passes recorder; both linalg.svd and the values-only
+linalg.operator_norm run the engine, so an operator norm counts as a
 factorization too. The engine takes a stack of matrices, so the passes are
 counted twice: as engine calls and as the matrices those calls factor. An
 operation that factors two independent matrices of one size factors them in
@@ -21,26 +22,24 @@ N = 8
 
 
 @pytest.fixture
-def counts(monkeypatch):
-    """Call take() for (engine calls, matrices those calls factor, eig calls) since the previous take()."""
-    tally = {"engine": 0, "matrices": 0, "hermitian_eig": 0}
+def counts(engine_passes, monkeypatch):
+    """Call take() for (engine calls, matrices those calls factor, eig calls) since the previous take().
 
-    def engine(w, n, _fn=linalg._sweeps):
-        tally["engine"] += 1
-        # the work array holds n rows per matrix, whatever its width
-        tally["matrices"] += w.shape[0] // n
-        return _fn(w, n)
+    The engine calls and their matrices are read off the shared engine-pass recorder.
+    """
+    eig_calls = []
 
     def eig(*args, _fn=linalg.hermitian_eig, **kwargs):
-        tally["hermitian_eig"] += 1
+        eig_calls.append(args)
         return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_sweeps", engine)
     monkeypatch.setattr(linalg, "hermitian_eig", eig)
 
     def take():
-        out = (tally["engine"], tally["matrices"], tally["hermitian_eig"])
-        tally.update(engine=0, matrices=0, hermitian_eig=0)
+        # the work array holds n rows per matrix, whatever its width
+        out = (len(engine_passes), sum(shape[0] // n for shape, n in engine_passes), len(eig_calls))
+        engine_passes.clear()
+        eig_calls.clear()
         return out
 
     return take
@@ -184,14 +183,14 @@ def cli_files(tmp_path):
 
 # argv, (engine calls, matrices) and verdict per subcommand; certify is
 # gated above. Each input sequence is factored once, and two inputs of one
-# call together: f and omega, or f and Q for rdual type3; recover factors the
-# bundle's extended root on loading and the recovered sequence, gamma inverts
-# the extended root twice, extend factors the action three times and takes its
-# two operator norms in one call, and represent takes its 2N + 1 operator
-# norms in one values-only pass
+# call together: f and omega, f and its dual for rdual type1, or f and Q for
+# rdual type3; recover factors the bundle's extended root on loading and the
+# recovered sequence, gamma inverts the extended root twice, extend factors
+# the action three times and takes its two operator norms in one call, and
+# represent takes its 2N + 1 operator norms in one values-only pass
 CLI_CASES = {
     "analyze": (lambda p: ["analyze", p["f"]], (1, 1), "pass"),
-    "rdual type1": (lambda p: ["rdual", "type1", p["f"], "--e", p["e"], "--h", p["h"]], (2, 2), "pass"),
+    "rdual type1": (lambda p: ["rdual", "type1", p["f"], "--e", p["e"], "--h", p["h"]], (1, 2), "pass"),
     "rdual type3": (
         lambda p: ["rdual", "type3", p["f"], "--e", p["e"], "--h", p["h"], "--q", p["q"]],
         (2, 3),

@@ -16,6 +16,8 @@ the eigen cases here include indefinite inputs with eigenvalues +-lambda,
 which an unshifted SVD would mix.
 numpy.linalg appears here as an independent oracle only; the library itself
 calls no numpy.linalg function but norm, which the source scan below checks.
+A second scan checks that every library function reads each parameter it
+takes, so no option is accepted and ignored.
 """
 
 import ast
@@ -389,20 +391,6 @@ def test_svd_stack_matches_one_call_per_matrix():
         assert not np.any(zero.singulars)
 
 
-@pytest.fixture
-def engine_passes(monkeypatch):
-    """The work-array shapes handed to the Jacobi engine, one entry per pass."""
-    shapes = []
-    sweeps = linalg._sweeps
-
-    def counted(w, n):
-        shapes.append(w.shape)
-        return sweeps(w, n)
-
-    monkeypatch.setattr(linalg, "_sweeps", counted)
-    return shapes
-
-
 def test_operator_norm_stack_spans_chunks(engine_passes):
     # the values-only work array holds A alone, n wide, so a chunk has at
     # most 2 * _STACK_ROWS rows, as many bytes as _STACK_ROWS rows of svd's
@@ -416,9 +404,9 @@ def test_operator_norm_stack_spans_chunks(engine_passes):
     norms = operator_norm(stack)
     # 47, 47 and 46 matrices at _STACK_ROWS = 272
     size, extra = divmod(count, 3)
-    assert engine_passes == [((size + (k < extra)) * 8, 8) for k in range(3)]
+    assert engine_passes == [(((size + (k < extra)) * 8, 8), 8) for k in range(3)]
     svd(stack[:2])
-    assert engine_passes[-1] == (2 * 8, 2 * 8)
+    assert engine_passes[-1] == ((2 * 8, 2 * 8), 8)
     assert norms.shape == (count,)
     assert _same_bits(norms, np.array([operator_norm(a) for a in stack]))
     assert _same_bits(operator_norm(stack.reshape(4, count // 4, 8, 8)), norms.reshape(4, count // 4))
@@ -436,7 +424,7 @@ def test_represent_norms_take_one_pass_at_n16(engine_passes):
     co = representation.coefficients(f, omega, h, fam)
     engine_passes.clear()
     representation.represent_inv_sqrt(fam, representation.lambda_family(fam, h), co)
-    assert engine_passes == [((2 * n + 1) * n, n)]
+    assert engine_passes == [(((2 * n + 1) * n, n), n)]
 
 
 def test_operator_norm_is_svd_sigma_max_bit_for_bit():
@@ -601,3 +589,40 @@ def test_library_calls_no_numpy_linalg_but_norm():
         # a bare np.linalg, say an alias, would hide what it calls
         assert len(calls) == len(refs), path.name
         assert set(calls) <= {"norm"}, (path.name, sorted(set(calls)))
+
+
+def _names_read(fn) -> set:
+    """The names fn's body reads, leaving out the p of a default p = p or ..."""
+    body = [node for stmt in fn.body for node in ast.walk(stmt)]
+    defaults = {
+        id(node.value.values[0])
+        for node in body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.BoolOp)
+        and isinstance(node.value.op, ast.Or)
+        and isinstance(node.value.values[0], ast.Name)
+        and node.value.values[0].id == node.targets[0].id
+    }
+    return {
+        node.id
+        for node in body
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in defaults
+    }
+
+
+def test_library_functions_read_every_parameter():
+    # a parameter a function accepts and never reads is a no-op option; a
+    # p = p or DEFAULT_TOL default alone does not read p, and a method's
+    # self or cls is not a parameter a caller sets
+    unread = []
+    for path in sorted(pathlib.Path(rdualkit.__file__).parent.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+            read = _names_read(fn)
+            unread += [f"{path.name}:{fn.name}({p})" for p in params if p not in read and p not in ("self", "cls")]
+    assert unread == []

@@ -300,6 +300,9 @@ def test_hermitian_checks_are_relative_to_the_operator():
 
     cert = rduals.certify_symmetrical_pair(f, omega)
     rduals.recover_symmetrical(omega, cert, s_f_sqrt)
+    # both recoveries check s_f_sqrt: a non-Hermitian root would recover a wrong f
+    with pytest.raises(NotHermitian):
+        rduals.recover_symmetrical(omega, cert, s_f_sqrt + skew)
     bent_root = frames.FactoredSequence.of(VectorSeq(cert.s_omega_sqrt_ext + skew), DEFAULT_TOL)
     bent = dataclasses.replace(cert, fac_ext=bent_root)
     with pytest.raises(CertificationFailed, match="not Hermitian"):
