@@ -83,8 +83,9 @@ def matrix_from_payload(payload, allow_partial: bool = False) -> np.ndarray:
             if tag == "real" and value.imag != 0.0:
                 raise ParseError(f"vector {j} entry {i} has a nonzero imaginary part under field_tag 'real'")
             mat[i, j] = value
-    if not np.all(np.isfinite(mat)):
-        # JSON numbers beyond float range, such as 1e400, and NaN or Infinity literals
+    if not np.isfinite(np.abs(mat)).all():
+        # JSON numbers beyond float range, such as 1e400, NaN or Infinity literals, and
+        # pairs of finite parts whose modulus is beyond it, such as [1.7e308, 1.7e308]
         raise ParseError("entries must be finite")
     return mat
 
@@ -144,7 +145,10 @@ def certificate_from_payload(payload, tol: Tolerances) -> tuple[RDualCertificate
 
     Accepts either a bare bundle or a full report with the bundle nested
     under results.certificate. The extended root is factored here, by one
-    SVD at tol, which the certificate carries to recovery.
+    SVD at tol, which the certificate carries to recovery. A bundle holds no
+    f, so the certificate's fac_f is None: gamma_sequence factors the f it
+    is given, and inverts the root from the seeded SVD the certificate takes
+    on first use (RDualCertificate.fac_root).
     """
     if isinstance(payload, dict) and "results" in payload:
         payload = payload.get("results", {}).get("certificate")

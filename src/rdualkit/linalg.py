@@ -312,7 +312,7 @@ def _as_stack(a) -> np.ndarray:
         raise ShapeError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
     if mat.size == 0:
         raise ShapeError("dimension and stack size must be at least 1")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(np.abs(mat)).all():
         raise ValueError("matrix entries must be finite")
     return mat
 

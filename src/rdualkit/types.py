@@ -25,13 +25,18 @@ ZERO_SEQUENCE = "zero_sequence"
 
 
 def as_operator(a) -> np.ndarray:
-    """Copy `a` into a read-only square complex matrix, rejecting non-finite entries."""
+    """Copy `a` into a read-only square complex matrix, rejecting entries whose modulus is not a finite float.
+
+    A complex entry with two finite parts can still have a modulus beyond the
+    float maximum, such as 1.7e308 + 1.7e308j; np.abs gives inf there, and no
+    warning.
+    """
     mat = np.array(a, dtype=np.complex128, copy=True)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] < 1:
         raise ShapeError("dimension must be at least 1")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(np.abs(mat)).all():
         raise ValueError("matrix entries must be finite")
     mat.setflags(write=False)
     return mat

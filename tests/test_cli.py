@@ -371,6 +371,16 @@ def test_float_beyond_range_is_an_input_error(tmp_path, capsys):
     assert captured.out == "" and captured.err == "input error: entries must be finite\n"
 
 
+def test_modulus_beyond_float_range_is_an_input_error(tmp_path, capsys):
+    # both parts are finite floats, but the entry's modulus is not; the
+    # engine overflowed on it before the parser checked the modulus
+    path = tmp_path / "big.json"
+    path.write_text('{"dimension": 2, "field_tag": "complex", "vectors": [[[1.7e308, 1.7e308], 0], [0, 1]]}')
+    assert cli.main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: entries must be finite\n"
+
+
 def _strict_json(text):
     def refuse(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

@@ -72,11 +72,17 @@ def test_pair_operation_counts(counts, rank):
     # the certificate carries its root's SVD, so recovery factors nothing
     rduals.recover_symmetrical(omega, cert, s_f_sqrt)
     assert counts() == (0, 0, 0)
-    # gamma and the coefficient check still factor the root's matrix
+    # gamma reuses certify's SVD of f and factors the root's matrix once, on
+    # first use, which the coefficient check then reuses
     rduals.gamma_sequence(f, cert)
-    assert counts() == (1, 2, 0)
+    assert counts() == (1, 1, 0)
     rduals.coefficient_identity_check(f, omega, cert)
-    assert counts() == (1, 2, 0)
+    assert counts() == (0, 0, 0)
+    # on a fresh certificate the coefficient check takes the root's SVD itself
+    fresh = rduals.certify_symmetrical_pair(f, omega)
+    counts()
+    rduals.coefficient_identity_check(f, omega, fresh)
+    assert counts() == (1, 1, 0)
     assert rduals.decide_type_I_pair(f, omega).is_pair
     assert counts() == (1, 2, 0)
     assert not rduals.decide_type_I_pair(f_off, omega).is_pair
@@ -185,7 +191,8 @@ def cli_files(tmp_path):
 # gated above. Each input sequence is factored once, and two inputs of one
 # call together: f and omega, f and its dual for rdual type1, or f and Q for
 # rdual type3; recover factors the bundle's extended root on loading and the
-# recovered sequence, gamma inverts the extended root twice, extend factors
+# recovered sequence, gamma factors the extended root once, for gamma_sequence
+# and the coefficient check, and reuses certify's SVD of f, extend factors
 # the action three times and takes its two operator norms in one call, and
 # represent takes its 2N + 1 operator norms in one values-only pass
 CLI_CASES = {
@@ -202,7 +209,7 @@ CLI_CASES = {
         "fail",
     ),
     "recover": (lambda p: ["recover", p["omega"], "--cert", p["cert"]], (2, 2), "pass"),
-    "gamma": (lambda p: ["gamma", p["f"], p["omega"]], (3, 4), "pass"),
+    "gamma": (lambda p: ["gamma", p["f"], p["omega"]], (2, 3), "pass"),
     "decide pair": (lambda p: ["decide", p["f"], p["omega"]], (1, 2), "pass"),
     "decide non-pair": (lambda p: ["decide", p["f_off"], p["omega"]], (1, 2), "pass"),
     "represent": (lambda p: ["represent", p["f"], p["omega"]], (2, 2 * N + 3), "measured"),

@@ -54,6 +54,10 @@ def test_parse_shape_and_format_errors(tmp_path):
         path.write_text('{"dimension": 1, "field_tag": "real", "vectors": [[%s]]}' % entry)
         with pytest.raises(ParseError, match="finite"):
             io.parse_sequence(str(path))
+    # two finite parts whose modulus is beyond float range
+    payload = {"dimension": 2, "field_tag": "complex", "vectors": [[[1.7e308, 1.7e308], 0], [0, 1]]}
+    with pytest.raises(ParseError, match="finite"):
+        io.parse_sequence(write(tmp_path, "k.json", payload))
     bad = tmp_path / "e.json"
     bad.write_text("{not json")
     with pytest.raises(ParseError):

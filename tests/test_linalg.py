@@ -44,7 +44,7 @@ from rdualkit.linalg import (
     psd_sqrt,
     svd,
 )
-from rdualkit.types import OrthonormalBasis, Tolerances
+from rdualkit.types import OrthonormalBasis, Tolerances, as_operator
 
 
 def rand_complex(rng, n):
@@ -496,6 +496,21 @@ def test_svd_stack_rejects_bad_input():
     for fn in (svd, operator_norm):
         with pytest.raises(ValueError):
             fn(stack)
+
+
+def test_entries_beyond_float_range_in_modulus_are_rejected():
+    # both parts are finite, but the modulus is not: the engine's scaling read
+    # it as inf and overflowed, so svd, operator_norm and as_operator reject it
+    big = np.diag([1.7e308 + 1.7e308j, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        as_operator(big)
+    for fn in (svd, operator_norm):
+        for a in (big, np.stack([np.eye(2), big])):
+            with pytest.raises(ValueError, match="finite"):
+                fn(a)
+    # the largest modulus that is still a float passes
+    top = np.finfo(np.float64).max / np.sqrt(2.0)
+    assert svd(np.diag([top + top * 1j, 1.0])).singulars[0] == pytest.approx(np.finfo(np.float64).max)
 
 
 def test_svd_stack_no_convergence_reports_progress(monkeypatch):

@@ -347,6 +347,52 @@ def test_gamma_biorthogonality_at_n48_kappa_1e6():
     assert np.linalg.norm(frames.cross_gram(omega, gam) - np.eye(48)) <= DEFAULT_TOL.cert_rel
 
 
+def _gamma_from_cold_factors(f, cert):
+    """gamma by its formula with f and the root's matrix each factored cold, in one stacked engine call."""
+    fac_f, fac_root = frames.FactoredSequence.of_all((VectorSeq(f.mat), VectorSeq(cert.s_omega_sqrt_ext)), DEFAULT_TOL)
+    coeff = cert.e_basis.mat.conj().T @ fac_f.parseval()
+    return fac_root.inverse() @ cert.h_basis.mat @ coeff.T
+
+
+def _gamma_defect(omega, cert, gam, riesz):
+    """The biorthogonality defect on a Riesz basis, else ext^2 gamma - omega relative to omega."""
+    if riesz:
+        return np.linalg.norm(frames.cross_gram(omega, VectorSeq(gam)) - np.eye(omega.dim))
+    ext = cert.s_omega_sqrt_ext
+    return np.linalg.norm(ext @ ext @ gam - omega.mat) / np.linalg.norm(omega.mat)
+
+
+@pytest.mark.parametrize("deficit", [0, 2])
+@pytest.mark.parametrize("kappa", [1e3, 1e6])
+@pytest.mark.parametrize("n", [16, 48])
+def test_gamma_from_the_seeded_root_is_no_less_accurate(n, kappa, deficit):
+    # gamma inverts the root from the certificate's Jacobi SVD of M U_w; a
+    # cold Jacobi SVD of M, the formula gamma used before, is the oracle
+    seeded, cold = [], []
+    for draw in range(3):
+        f, omega = _typed_pair(n, kappa, deficit, seed=97 * draw + n)
+        cert = rduals.certify_symmetrical_pair(f, omega)
+        seeded.append(_gamma_defect(omega, cert, rduals.gamma_sequence(f, cert).mat, deficit == 0))
+        cold.append(_gamma_defect(omega, cert, _gamma_from_cold_factors(f, cert), deficit == 0))
+    assert max(seeded) <= DEFAULT_TOL.cert_rel
+    assert max(seeded) <= max(cold)
+
+
+@pytest.mark.parametrize("deficit", [0, 2])
+def test_gamma_of_other_inputs_matches_the_cold_formula(deficit):
+    # a bundle-loaded certificate carries no f, and an f other than the
+    # certified one is factored afresh; both match the cold formula
+    f, omega = _typed_pair(16, 1e6, deficit, seed=5)
+    other, _ = _typed_pair(16, 1e3, deficit, seed=6)
+    cert = rduals.certify_symmetrical_pair(f, omega)
+    loaded, _ = io.certificate_from_payload(io.certificate_payload(cert, np.eye(16)), DEFAULT_TOL)
+    assert loaded.fac_f is None
+    for c, g in ((loaded, f), (cert, other), (loaded, other)):
+        want = _gamma_from_cold_factors(g, c)
+        got = rduals.gamma_sequence(g, c).mat
+        assert np.linalg.norm(got - want) <= DEFAULT_TOL.cert_rel * np.linalg.norm(want)
+
+
 def test_gamma_identity_case():
     eye = VectorSeq(np.eye(3))
     cert = rduals.certify_symmetrical_pair(eye, eye)
