@@ -17,7 +17,7 @@ import numpy as np
 from . import frames
 from .errors import ParseError, ShapeError
 from .rduals import RDualCertificate
-from .types import OrthonormalBasis, Tolerances, VectorSeq
+from .types import OrthonormalBasis, Tolerances, VectorSeq, has_finite_moduli
 
 
 def load_json(path: str):
@@ -83,7 +83,7 @@ def matrix_from_payload(payload, allow_partial: bool = False) -> np.ndarray:
             if tag == "real" and value.imag != 0.0:
                 raise ParseError(f"vector {j} entry {i} has a nonzero imaginary part under field_tag 'real'")
             mat[i, j] = value
-    if not np.isfinite(np.abs(mat)).all():
+    if not has_finite_moduli(mat):
         # JSON numbers beyond float range, such as 1e400, NaN or Infinity literals, and
         # pairs of finite parts whose modulus is beyond it, such as [1.7e308, 1.7e308]
         raise ParseError("entries must be finite")

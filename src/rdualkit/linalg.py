@@ -27,26 +27,27 @@ Each matrix keeps its own power-of-two scale, its own pairs to rotate and
 its own convergence, and its factors are bit for bit those of a call on it
 alone.
 
-svd and operator_norm share one sweep loop, _sweeps, which rotates the rows
-of a work array and reads only their first n entries. svd hands it rows of
-[A; V], 2n wide. operator_norm hands it rows of A alone, n wide: in
-one-sided Jacobi the singular values are the norms of the rotated columns
-of A, and V is needed only for the vectors (Demmel and Veselic), so it
-skips V, the left vectors and their completion. The rotations depend on A
-alone, so its norms are bit for bit svd's largest singular values.
-operator_norm also takes stacks, and sweeps them in chunks capped by
-work-array size: a chunk takes at most the bytes of _STACK_ROWS = 272 rows
-of svd's [A; V], which is 544 rows of A alone, floor(544 / n) matrices. A
-stack of B matrices takes the fewest chunks under that cap, ceil(B / cap),
-of equal size up to one matrix: numpy's cost per round sets the time of a
-pass, so a short tail chunk costs about half a full one, and equal chunks
-pay for no tail. The cap sits at the measured knee of the benchmark's
-represent_series workload (n = 8, 16 and 24, so 2n + 1 = 17, 33 and 49
-norms per op). There 272 takes the n = 16 stack in one pass and the
-n = 24 stack in three (17, 16 and 16 matrices), for about 0.5 MiB more
-peak memory than 128. 640 would take every stack in one pass, but it
-raised peak memory by about 2.7 MiB (6%) and gained no throughput over 272
-(10 s runs on 2 vCPUs).
+operator_norm needs sigma_max alone, and brackets it without sweeps. It
+scales each matrix by its power of two, as svd does, forms G = A*A and
+squares it repeatedly, dividing by the trace each time (power iteration by
+squaring, Golub and Van Loan, Matrix Computations, section 7.3). The running
+log of the traces and the infinity norm of the normalized power bound
+lambda_1(G) from above, and the Rayleigh quotient at the power's largest
+column bounds it from below; both ends close on lambda_1 as
+(lambda_2 / lambda_1)^(2^j), so a matrix leaves the stack once its bracket
+is within (n + 8) eps / 2, and the norm is the square root of the upper end.
+Each step is a few batched BLAS products and reductions over the whole
+stack, where a Jacobi sweep takes n rounds of small numpy calls. A matrix
+still open after _SQUARINGS squarings, whose top singular values lie within
+about 1e-2 of each other, goes to a values-only pass of the engine, which
+shares _sweeps with svd: it rotates the rows of a work array and reads only
+their first n entries. svd hands it rows of [A; V], 2n wide. The fallback
+hands it rows of A alone, n wide, for the open matrices only: in one-sided
+Jacobi the singular values are the norms of the rotated columns of A, and V
+is needed only for the vectors (Demmel and Veselic), so it skips V, the
+left vectors and their completion. The rotations depend on A alone, so a
+fallback norm is bit for bit svd's largest singular value, and its work
+array is never larger than operator_norm's input.
 
 A round gathers the rows of its pairs with take and makes three np.vecdot
 calls: the pair inner products over the rows' first n complex entries
@@ -96,13 +97,14 @@ from .types import (
     Tolerances,
     VectorSeq,
     as_operator,
+    has_finite_moduli,
     is_hermitian,
 )
 
 _SWEEP_CAP = 30
-# operator_norm's work array takes at most the bytes of this many rows of
-# svd's [A; V], 2n entries each
-_STACK_ROWS = 272
+# operator_norm squares A*A at most this many times; a matrix whose bracket
+# is still open then goes to the values-only Jacobi pass
+_SQUARINGS = 12
 # one-sided sweeps stop when every column pair is orthogonal to this
 # relative level, which bounds each normalized inner product directly
 _PAIR_REL = 1e-15
@@ -312,7 +314,7 @@ def _as_stack(a) -> np.ndarray:
         raise ShapeError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
     if mat.size == 0:
         raise ShapeError("dimension and stack size must be at least 1")
-    if not np.isfinite(np.abs(mat)).all():
+    if not has_finite_moduli(mat):
         raise ValueError("matrix entries must be finite")
     return mat
 
@@ -320,34 +322,91 @@ def _as_stack(a) -> np.ndarray:
 def operator_norm(a) -> float | np.ndarray:
     """Spectral norm, the largest singular value: a float, or an array over a stack (..., n, n).
 
-    A values-only pass of the engine: the sweeps rotate the columns of the
-    scaled A alone, with no V and no left vectors, and the largest rotated
-    column norm, scaled back by 2^e, is the norm. The rotations read only
-    A, so the norms are bit for bit svd(a).singulars[..., 0]. A stack is
-    swept in the fewest chunks whose work array takes at most the bytes of
-    _STACK_ROWS rows of svd's [A; V], of equal size up to one matrix, so a
-    long stack costs no more memory than a short one and no pass sweeps a
-    short tail. Like svd, it takes no tolerance.
+    Each matrix is scaled by its power of two 2^-e, as in svd, and its norm
+    is bracketed by repeated squaring of G = A*A (_bracket): a matrix whose
+    bracket on lambda_1(G) closes to within (n + 8) eps / 2, relative, returns
+    the square root of the upper end, scaled back by 2^e. That value lies
+    above sigma_max by at most (n + 8) eps / 4 plus the roundoff of the
+    n-term products behind both ends, so within a small multiple of n eps.
+    A matrix still open after _SQUARINGS squarings, one whose top singular
+    values lie within about 1e-2 of each other relative, goes to the
+    values-only Jacobi pass: the sweeps rotate the columns of its scaled A
+    alone, with no V and no left vectors, and the largest rotated column
+    norm is the norm, bit for bit svd(a).singulars[..., 0]. The work array
+    of that pass holds only the open matrices, never more rows than the
+    input has. Which path a matrix takes depends on its own bracket alone,
+    so each norm of a stack is bit for bit that of its matrix taken alone.
+    Like svd, it takes no tolerance.
     """
     a = _as_stack(a)
     n = a.shape[-1]
-    mats = a.reshape(-1, n, n)
-    # rows of A alone are n wide, half of svd's 2n, so a chunk holds 2 * _STACK_ROWS of them
-    cap = max(1, 2 * _STACK_ROWS // n)
-    out = np.concatenate([_largest_norms(chunk) for chunk in np.array_split(mats, -(-len(mats) // cap))])
+    scaled, e = _scaled(a.reshape(-1, n, n))
+    out, unclosed = _bracket(scaled)
+    if unclosed.size:
+        # transposing makes row b*n + j column j of matrix b; the reshape copies into a fresh array
+        w = scaled[unclosed].transpose(0, 2, 1).reshape(-1, n)
+        _sweeps(w, n)
+        out[unclosed] = np.max(_column_norms(w.reshape(-1, n, n), n), axis=1)
+    out = np.ldexp(out, e)
     if a.ndim == 2:
         return float(out[0])
     return out.reshape(a.shape[:-2])
 
 
-def _largest_norms(mats: np.ndarray) -> np.ndarray:
-    """The largest singular value of each matrix of the stack mats (count, n, n), by one values-only pass."""
-    n = mats.shape[-1]
-    scaled, e = _scaled(mats)
-    # transposing makes row b*n + j column j of matrix b; the reshape copies into a fresh array
-    w = scaled.transpose(0, 2, 1).reshape(-1, n)
-    _sweeps(w, n)
-    return np.ldexp(np.max(_column_norms(w.reshape(-1, n, n), n), axis=1), e)
+def _bracket(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_max of each matrix of the stack scaled (count, n, n) by squaring A*A, and the indices left open.
+
+    With G = A*A and N_j its 2^j-th power divided by its trace, step j
+    divides by the trace t_j, adds 2^-j log t_j to a running log L_j and
+    squares, so lambda_1(G) = exp(L_j) lambda_1(N_j)^(2^-j). N_j is positive
+    semidefinite with trace 1, so lambda_1(N_j) <= min(1, ||N_j||_inf): the
+    upper end is L_j + 2^-j log min(1, ||N_j||_inf). The infinity norm
+    closes multiples of unitaries, and diagonal flat tops, at j = 0, where
+    the traces alone would not. The lower end is the Rayleigh quotient
+    ||A x||^2 / ||x||^2 at the largest column x of N_j. A matrix leaves the
+    stack once its ends lie within (n + 8) eps / 2 in the log, about the
+    roundoff of the n-term sums behind them, and its value is
+    exp(upper / 2). Both ends close as (lambda_2 / lambda_1)^(2^j), so top
+    singular values 1e-2 apart, relative, close within _SQUARINGS.
+    Every entry of N_j has modulus at most 1, its trace t_j lies in
+    [1/n, 1] for j >= 1, and G of a scaled matrix has trace in [1/4, n^2]:
+    nothing overflows, and what underflows is roundoff against lambda_1. A
+    zero matrix has norm 0 and no bracket.
+    """
+    count, n, _ = scaled.shape
+    close = (n + 8) * np.finfo(np.float64).eps / 2.0
+    out = np.zeros(count)
+    # _scaled leaves a zero matrix unscaled; every other one has an entry of modulus at least 1/2.
+    # Without a zero matrix, the stack is read in place: a copy cost about 0.5 MiB of peak memory
+    live = np.flatnonzero(np.any(scaled, axis=(1, 2)))
+    a = scaled if live.size == count else scaled[live]
+    power = np.matmul(a.conj().transpose(0, 2, 1), a)
+    log = np.zeros(live.size)
+    for j in range(_SQUARINGS + 1):
+        if j:
+            power = np.matmul(power, power)
+        t = np.trace(power, axis1=1, axis2=2).real
+        power /= t[:, None, None]
+        log += np.ldexp(np.log(t), -j)
+        upper = log + np.ldexp(np.log(np.minimum(1.0, np.max(np.sum(np.abs(power), axis=2), axis=1))), -j)
+        # power is Hermitian, so its column norms are its row norms
+        k = np.argmax(_squared_norms(power), axis=1)
+        x = np.take_along_axis(power, k[:, None, None], axis=2)
+        lower = np.log(_squared_norms(np.matmul(a, x)[:, :, 0]) / _squared_norms(x[:, :, 0]))
+        closed = upper - lower <= close
+        out[live[closed]] = np.exp(upper[closed] / 2.0)
+        if closed.any():
+            unclosed = ~closed
+            live, a, power, log = live[unclosed], a[unclosed], power[unclosed], log[unclosed]
+            if not live.size:
+                break
+    return out, live
+
+
+def _squared_norms(mats: np.ndarray) -> np.ndarray:
+    """The squared norm along the last axis of a complex array, as a real sum over its float64 view."""
+    rows = mats.view(np.float64)
+    return np.vecdot(rows, rows)
 
 
 def numerical_rank(singulars: np.ndarray, rank_rel: float) -> int:

@@ -24,8 +24,10 @@ The extended square root, its inverse and the span of omega are closed
 forms in one SVD of omega (frames.FactoredSequence), so building the shift
 family costs one factorization and the coefficients reuse it. The 2n + 1
 operator norms that represent_inv_sqrt reports take one linalg.operator_norm
-call, a values-only engine pass over one stack of the Lambda_k, the c-family
-error and the a-family prefix errors.
+call on one stack of the Lambda_k, the c-family error and the a-family
+prefix errors. Each norm is its matrix's own: it brackets sigma_max by
+repeated squaring, to within a few n eps, and falls back to the values-only
+engine pass only for a matrix with a clustered top.
 """
 
 from __future__ import annotations
@@ -223,8 +225,9 @@ def represent_inv_sqrt(
     do not scale, so the roundoff in each sum scales as the target does,
     and the gates hold at every scale of omega. The c-family sum is
     measured only. All 2n + 1 operator norms come from one stack filled in
-    place and one linalg.operator_norm call, and each is bit for bit the
-    norm of its matrix taken alone.
+    place and one linalg.operator_norm call. Each is bit for bit the norm of
+    its matrix taken alone and lies within a few n eps of sigma_max, far
+    inside the budget.
     """
     tol = tol or DEFAULT_TOL
     n = fam.dim

@@ -24,19 +24,24 @@ PROPER_FRAME_SEQUENCE = "proper_frame_sequence"
 ZERO_SEQUENCE = "zero_sequence"
 
 
-def as_operator(a) -> np.ndarray:
-    """Copy `a` into a read-only square complex matrix, rejecting entries whose modulus is not a finite float.
+def has_finite_moduli(mat: np.ndarray) -> bool:
+    """Whether the modulus of every entry of the complex array mat is a finite float.
 
     A complex entry with two finite parts can still have a modulus beyond the
     float maximum, such as 1.7e308 + 1.7e308j; np.abs gives inf there, and no
-    warning.
+    warning, where an entry-by-entry np.isfinite passes it.
     """
+    return bool(np.isfinite(np.abs(mat)).all())
+
+
+def as_operator(a) -> np.ndarray:
+    """Copy `a` into a read-only square complex matrix, rejecting entries whose modulus is not a finite float."""
     mat = np.array(a, dtype=np.complex128, copy=True)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] < 1:
         raise ShapeError("dimension must be at least 1")
-    if not np.isfinite(np.abs(mat)).all():
+    if not has_finite_moduli(mat):
         raise ValueError("matrix entries must be finite")
     mat.setflags(write=False)
     return mat
@@ -200,10 +205,10 @@ class Svd:
     linalg.svd also factors a stack a of shape (..., n, n); each field is
     then stacked the same way, so left[k], singulars[k] and right[k] factor
     a[k]. The stack's matrices share one engine run: each round's pair
-    indices are offset to every matrix's rows. operator_norm runs the same
-    engine on A alone, without V, in chunks whose work array takes at most
-    the bytes of _STACK_ROWS = 272 rows of svd's [A; V]; the linalg module
-    says why.
+    indices are offset to every matrix's rows. operator_norm brackets the
+    largest singular value by repeated squaring of A*A and runs the same
+    engine, on A alone and without V, only for the matrices whose bracket
+    stays open; the linalg module says why.
     """
 
     left: np.ndarray
@@ -238,7 +243,8 @@ class SubspaceOperator:
         k = vb.shape[1]
         if not (1 <= k <= self.ambient_dim):
             raise ShapeError(f"subspace dimension must lie in 1..{self.ambient_dim}, got {k}")
-        if not np.all(np.isfinite(vb)):
+        # its Gram product below would overflow on an entry of infinite modulus
+        if not has_finite_moduli(vb):
             raise ValueError("v_basis entries must be finite")
         act = as_operator(self.action)
         if act.shape[0] != k:

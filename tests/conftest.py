@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 from rdualkit import linalg
@@ -23,3 +24,21 @@ def engine_passes(monkeypatch):
 
     monkeypatch.setattr(linalg, "_sweeps", recorded)
     return passes
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """The shape of every stack handed to linalg.operator_norm, in order.
+
+    Most norms close by squaring and run no engine pass, so engine_passes
+    cannot see them; this counts the calls themselves.
+    """
+    calls = []
+    operator_norm = linalg.operator_norm
+
+    def recorded(a):
+        calls.append(np.shape(a))
+        return operator_norm(a)
+
+    monkeypatch.setattr(linalg, "operator_norm", recorded)
+    return calls

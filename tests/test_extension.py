@@ -118,3 +118,13 @@ def test_singular_action_rejected():
         extend_operator(SubspaceOperator(3, std_subspace(3, 2), phi_mat))
     with pytest.raises(SingularAction):
         extended_inverse(SubspaceOperator(3, std_subspace(3, 2), phi_mat))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_basis_entries_beyond_float_range_in_modulus_are_rejected():
+    # both parts of the entry are finite, but its modulus is not, so an
+    # entry-by-entry finite check passed it and the Gram check overflowed
+    top = np.finfo(np.float64).max
+    vb = np.array([[top + top * 1j], [0.0]])
+    with pytest.raises(ValueError, match="v_basis entries must be finite"):
+        SubspaceOperator(2, vb, np.array([[1.0]]))

@@ -4,12 +4,14 @@ The counts are deterministic, so they gate regressions. Every call site
 resolves linalg's functions at call time, which lets the fixtures count
 internal calls as well by replacing the module attributes. The counts read
 the passes of the Jacobi engine, linalg._sweeps, off the shared
-engine_passes recorder; both linalg.svd and the values-only
-linalg.operator_norm run the engine, so an operator norm counts as a
-factorization too. The engine takes a stack of matrices, so the passes are
-counted twice: as engine calls and as the matrices those calls factor. An
-operation that factors two independent matrices of one size factors them in
-one call. hermitian_eig calls are counted on their own as well.
+engine_passes recorder. linalg.svd runs the engine; linalg.operator_norm
+runs it only on the matrices its squaring bracket leaves open, those with a
+clustered top, so an operator norm counts as a factorization only then, and
+the operator_norm calls are gated on their own. The engine takes a stack of
+matrices, so the passes are counted twice: as engine calls and as the
+matrices those calls factor. An operation that factors two independent
+matrices of one size factors them in one call. hermitian_eig calls are
+counted on their own as well.
 """
 
 import numpy as np
@@ -89,7 +91,7 @@ def test_pair_operation_counts(counts, rank):
     assert counts() == (1, 2, 0)
 
 
-def test_represent_pipeline_counts(counts):
+def test_represent_pipeline_counts(counts, norm_calls):
     f, omega, _ = _pair(N - 2)
     h = _onb(40)
     fam = representation.build_shift_family(omega, h)
@@ -101,10 +103,11 @@ def test_represent_pipeline_counts(counts):
     co = representation.coefficients(f, omega, h, fam)
     assert counts() == (1, 1, 0)
     # one operator norm per Lambda_k, per prefix and for the c-family sum,
-    # all 2N + 1 in one values-only pass, so the whole pipeline factors
-    # 2N + 3 matrices in 3 calls
+    # all 2N + 1 in one operator_norm call; every bracket closes by squaring,
+    # so no engine pass runs and the whole pipeline factors 2 matrices in 2 calls
     representation.represent_inv_sqrt(fam, lambdas, co)
-    assert counts() == (1, 2 * N + 1, 0)
+    assert counts() == (0, 0, 0)
+    assert norm_calls == [(2 * N + 1, N, N)]
 
 
 def test_matrix_helper_counts(counts):
@@ -192,9 +195,11 @@ def cli_files(tmp_path):
 # call together: f and omega, f and its dual for rdual type1, or f and Q for
 # rdual type3; recover factors the bundle's extended root on loading and the
 # recovered sequence, gamma factors the extended root once, for gamma_sequence
-# and the coefficient check, and reuses certify's SVD of f, extend factors
-# the action three times and takes its two operator norms in one call, and
-# represent takes its 2N + 1 operator norms in one values-only pass
+# and the coefficient check, and reuses certify's SVD of f, and extend
+# factors the action three times. extend takes its two operator norms in one
+# call, and the extended inverse, whose top singular value 1/sigma_k repeats
+# on the complement of V, reaches the engine; represent takes its 2N + 1
+# operator norms in one call whose brackets all close without it
 CLI_CASES = {
     "analyze": (lambda p: ["analyze", p["f"]], (1, 1), "pass"),
     "rdual type1": (lambda p: ["rdual", "type1", p["f"], "--e", p["e"], "--h", p["h"]], (1, 2), "pass"),
@@ -212,8 +217,8 @@ CLI_CASES = {
     "gamma": (lambda p: ["gamma", p["f"], p["omega"]], (2, 3), "pass"),
     "decide pair": (lambda p: ["decide", p["f"], p["omega"]], (1, 2), "pass"),
     "decide non-pair": (lambda p: ["decide", p["f_off"], p["omega"]], (1, 2), "pass"),
-    "represent": (lambda p: ["represent", p["f"], p["omega"]], (2, 2 * N + 3), "measured"),
-    "extend": (lambda p: ["extend", "--phi", p["phi"], "--vbasis", p["vbasis"]], (4, 5), "pass"),
+    "represent": (lambda p: ["represent", p["f"], p["omega"]], (1, 2), "measured"),
+    "extend": (lambda p: ["extend", "--phi", p["phi"], "--vbasis", p["vbasis"]], (4, 4), "pass"),
     "generate spectrum": (
         lambda p: ["generate", "--n", str(N), "--kind", "spectrum", "--sv", "2,1,0.5"],
         (1, 1),
@@ -223,10 +228,16 @@ CLI_CASES = {
 }
 
 
+# the stacks handed to operator_norm; the other subcommands take no operator norm
+CLI_NORM_CALLS = {"represent": [(2 * N + 1, N, N)], "extend": [(2, N, N)]}
+
+
 @pytest.mark.parametrize("case", list(CLI_CASES))
-def test_cli_counts(counts, cli_files, case):
+def test_cli_counts(counts, norm_calls, cli_files, case):
     argv, (calls, matrices), verdict = CLI_CASES[case]
     counts()
+    norm_calls.clear()
     report = cli.run(argv(cli_files))
     assert counts() == (calls, matrices, 0)
+    assert norm_calls == CLI_NORM_CALLS.get(case, [])
     assert report.verdict == verdict

@@ -7,10 +7,13 @@ rotated, and a pair the first sweep skips. A one-pair-at-a-time
 cyclic-by-rows loop is kept here as the reference the rounds must match,
 and graded inputs are checked against a 50-digit mpmath SVD for relative
 accuracy of every singular value. A stack of matrices shares one work
-array, and its factors must be bit for bit those of one call per matrix;
-operator_norm's values-only pass, which sweeps A without V, must give svd's
-largest singular value bit for bit, and neither may change its bits with the
-BLAS thread count.
+array, and its factors must be bit for bit those of one call per matrix.
+operator_norm brackets the largest singular value by repeated squaring of
+A*A: its norms must lie within a small multiple of n eps of numpy's at every
+scale, a stack's norms must be bit for bit those of one call per matrix, and
+a matrix whose bracket stays open must reach the values-only Jacobi pass,
+which sweeps A without V and gives svd's largest singular value bit for bit.
+Neither svd nor operator_norm may change its bits with the BLAS thread count.
 hermitian_eig runs the SVD on the matrix shifted by its Frobenius norm, so
 the eigen cases here include indefinite inputs with eigenvalues +-lambda,
 which an unshifted SVD would mix.
@@ -391,31 +394,36 @@ def test_svd_stack_matches_one_call_per_matrix():
         assert not np.any(zero.singulars)
 
 
-def test_operator_norm_stack_spans_chunks(engine_passes):
-    # the values-only work array holds A alone, n wide, so a chunk has at
-    # most 2 * _STACK_ROWS rows, as many bytes as _STACK_ROWS rows of svd's
-    # [A; V]; a stack takes the fewest chunks under that cap, of equal size
-    # up to one matrix, so no short tail pays a whole pass: two full chunks
-    # and four matrices at n = 8 take three passes, not two full and a tail
-    cap = 2 * linalg._STACK_ROWS // 8
-    count = 2 * cap + 4
+def _with_top_gap(n, gap, seed):
+    """P diag(sv) Q* for seeded unitaries P and Q, with sv_1 = 1 and sv_2 = 1 - gap above a spread tail."""
+    sv = np.concatenate([[1.0, 1.0 - gap], np.geomspace(0.9, 0.1, n - 2)])
+    return generate_sequence(n, "spectrum", sv, seed=seed).mat
+
+
+def test_operator_norm_stack_matches_one_call_per_matrix(engine_passes):
+    # which path a matrix takes depends on its own bracket alone, so the norms
+    # of a stack are bit for bit those of one call per matrix, and only the
+    # matrices the bracket leaves open reach the Jacobi pass, whose work array
+    # holds them alone: here the two clustered tops, not all 12 matrices
+    n = 8
     rng = np.random.default_rng(37)
-    stack = np.stack([rand_complex(rng, 8) * 10.0 ** rng.integers(-3, 4) for _ in range(count)])
+    dense = [rand_complex(rng, n) * 10.0 ** rng.integers(-3, 4) for _ in range(9)]
+    clustered = [_with_top_gap(n, gap, seed) for seed, gap in ((1, 1e-6), (2, 1e-12))]
+    stack = np.stack([*dense[:4], clustered[0], np.zeros((n, n)), *dense[4:], clustered[1]])
     norms = operator_norm(stack)
-    # 47, 47 and 46 matrices at _STACK_ROWS = 272
-    size, extra = divmod(count, 3)
-    assert engine_passes == [(((size + (k < extra)) * 8, 8), 8) for k in range(3)]
-    svd(stack[:2])
-    assert engine_passes[-1] == ((2 * 8, 2 * 8), 8)
-    assert norms.shape == (count,)
+    assert engine_passes == [((2 * n, n), n)]
+    assert norms.shape == (12,)
+    assert norms[5] == 0.0
+    engine_passes.clear()
     assert _same_bits(norms, np.array([operator_norm(a) for a in stack]))
-    assert _same_bits(operator_norm(stack.reshape(4, count // 4, 8, 8)), norms.reshape(4, count // 4))
+    assert engine_passes == [((n, n), n)] * 2
+    assert _same_bits(operator_norm(stack.reshape(2, 6, n, n)), norms.reshape(2, 6))
     assert isinstance(operator_norm(stack[0]), float)
 
 
-def test_represent_norms_take_one_pass_at_n16(engine_passes):
-    # represent_inv_sqrt's 2n + 1 = 33 norms at n = 16 fit one chunk, so
-    # they take one values-only pass, n wide
+def test_represent_norms_take_one_operator_norm_call(engine_passes, norm_calls):
+    # represent_inv_sqrt's 2n + 1 = 33 norms at n = 16 take one operator_norm
+    # call on one stack, and every bracket closes, so no engine pass runs
     n = 16
     f = generate_sequence(n, "spectrum", np.geomspace(2.0, 0.5, n), seed=1)
     e, h = (OrthonormalBasis(generate_sequence(n, "onb", seed=seed)) for seed in (2, 3))
@@ -424,31 +432,33 @@ def test_represent_norms_take_one_pass_at_n16(engine_passes):
     co = representation.coefficients(f, omega, h, fam)
     engine_passes.clear()
     representation.represent_inv_sqrt(fam, representation.lambda_family(fam, h), co)
-    assert engine_passes == [(((2 * n + 1) * n, n), n)]
+    assert norm_calls == [(2 * n + 1, n, n)]
+    assert engine_passes == []
 
 
-def test_operator_norm_is_svd_sigma_max_bit_for_bit():
-    # the rotations read only the A half of svd's work array, so the
-    # values-only pass ends on the same columns, and its norm is svd's
-    # largest singular value bit for bit
+def test_operator_norm_agrees_with_svd_sigma_max():
+    # a closed bracket returns the square root of its upper end, within
+    # (n + 8) eps / 4 above sigma_max plus the roundoff of its products, and
+    # svd's sigma_max carries a few n eps of its own; a matrix the bracket
+    # leaves open takes the values-only pass, bit for bit svd's sigma_max
+    eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(41)
-    cases = []
-    for n in (1, 2, 3, 8, 16, 24):
-        count = 2 * (2 * linalg._STACK_ROWS // n) + 3  # spans three chunks
-        cases.append(np.stack([rand_complex(rng, n) for _ in range(count)]))
+    cases = [np.stack([rand_complex(rng, n) for _ in range(7)]) for n in (1, 2, 3, 8, 16, 24)]
     deficient = rand_complex(rng, 7)
     deficient[:, 4] = deficient[:, 0] - 2.0 * deficient[:, 2]
     zero_row = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0]])
     a = rand_complex(rng, 6)
     cases += [deficient, np.zeros((5, 5)), zero_row, 1e-300 * a, 1e300 * a, np.stack([1e-300 * a, 1e300 * a])]
     for mats in cases:
+        n = mats.shape[-1]
         want = svd(mats).singulars[..., 0]
         got = operator_norm(mats)
         if mats.ndim == 2:
             assert isinstance(got, float)
-            got = np.float64(got)
-        assert _same_bits(np.asarray(got), want), mats.shape
+        assert np.all(np.abs(got - want) <= 2.0 * (n + 4) * eps * want), mats.shape
     assert operator_norm(np.zeros((5, 5))) == 0.0
+    clustered = np.stack([_with_top_gap(9, 1e-12, seed) for seed in (4, 5)])
+    assert _same_bits(operator_norm(clustered), svd(clustered).singulars[:, 0])
 
 
 def _engine_digest(threads: str) -> str:
@@ -470,19 +480,58 @@ def test_engine_bits_do_not_depend_on_the_blas_thread_count():
     assert _engine_digest("1") == _engine_digest("2")
 
 
-def test_operator_norm_no_convergence_reports_progress(monkeypatch):
-    # the values-only pass runs svd's sweep loop, so it stops at the same cap
-    # with the same report
+def test_operator_norm_no_convergence_reports_progress(monkeypatch, engine_passes):
+    # the diagonal matrix's bracket closes at once; the clustered top stays
+    # open, so the Jacobi pass sweeps it alone, with svd's sweep loop, and
+    # stops at the same cap with the same report
     monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
-    a = rand_complex(np.random.default_rng(23), 16)
+    a = _with_top_gap(16, 1e-12, seed=23)
     with pytest.raises(NoConvergence) as info:
         operator_norm(np.stack([a, np.diag(np.arange(1.0, 17.0))]))
+    assert engine_passes == [((16, 16), 16)]
     err = info.value
     assert err.sweeps == 1
     assert linalg._PAIR_REL < err.pair_measure <= 1.0 + 1e-12
     with pytest.raises(NoConvergence) as full:
         svd(a)
     assert full.value.pair_measure == err.pair_measure
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_operator_norm_matches_the_numpy_norm_at_every_scale(engine_passes):
+    # every norm lies within a small multiple of n eps of numpy's, for stacks
+    # whose brackets close at once (unitary, rank one), after a few squarings
+    # (dense, graded, rank deficient) or never, so that the Jacobi pass takes
+    # them (a clustered top and a gap of 1e-3), at scales whose squares would
+    # overflow or underflow unscaled
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(47)
+    fell_back = set()
+    for n in (2, 7, 16):
+        grades = np.geomspace(1.0, 1e-8, n)
+        kinds = {
+            "dense": [rand_complex(rng, n) for _ in range(3)],
+            "graded": [grades[:, None] * rand_complex(rng, n) * grades[::-1] for _ in range(3)],
+            "rank deficient": [rand_complex(rng, n)[:, :1] @ rand_complex(rng, n)[:1] for _ in range(2)]
+            + [rand_complex(rng, n)[:, : n // 2] @ rand_complex(rng, n)[: n // 2]],
+            "zero": [np.zeros((n, n))],
+            "unitary": [generate_sequence(n, "onb", seed=seed).mat for seed in range(3)],
+            "clustered top": [_with_top_gap(n, 1e-12, seed) for seed in range(3)],
+            "small gap": [_with_top_gap(n, 1e-3, seed) for seed in range(3)],
+        }
+        for kind, mats in kinds.items():
+            mats = np.stack(mats)
+            want = np.linalg.norm(mats, 2, axis=(1, 2))
+            for c in (1e-300, 1.0, 1e300):
+                engine_passes.clear()
+                got = operator_norm(c * mats.reshape(1, *mats.shape))
+                assert got.shape == (1, len(mats))
+                assert np.all(np.abs(got[0] - c * want) <= 4.0 * n * eps * c * want), (n, kind, c)
+                one = operator_norm(c * mats[0])
+                assert abs(one - c * want[0]) <= 4.0 * n * eps * c * want[0], (n, kind, c)
+                if engine_passes:
+                    fell_back.add(kind)
+    assert fell_back == {"clustered top", "small gap"}
 
 
 def test_svd_stack_rejects_bad_input():
