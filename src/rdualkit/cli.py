@@ -242,8 +242,7 @@ def _cmd_certify(args, tol):
     f, omega = _factored([args.f, args.omega], tol)
     cert = rduals.certify_symmetrical_pair(f, omega, tol)
     s_f_sqrt = f.sqrt()
-    budget = tol.cert_rel * frobenius_norm(omega.mat)
-    residuals = [_residual("certificate", cert.residual, budget)]
+    residuals = [_residual("certificate", cert.residual, cert.budget)]
     results = {"certificate": io.certificate_payload(cert, s_f_sqrt)}
     return results, residuals
 
@@ -265,10 +264,10 @@ def _cmd_recover(args, tol):
     else:
         raise UsageError("the certificate bundle has no s_f_sqrt; pass --sf-sqrt")
     recovered = rduals.recover_symmetrical(omega, cert, s_f_sqrt, tol)
-    # push the recovered sequence back through the certificate
+    # push the recovered sequence back through the certificate; the root is applied as a matrix,
+    # not through rdual_type_III, so a wrong omega fails on this residual and not on its bounds check
     g = frames.parsevalize(recovered, tol)
-    coeff = cert.e_basis.mat.conj().T @ g.mat
-    rebuilt = cert.s_omega_sqrt_ext @ cert.h_basis.mat @ coeff.T
+    rebuilt = cert.s_omega_sqrt_ext @ rduals.rdual_type_I(g, cert.e_basis, cert.h_basis).mat
     budget = tol.cert_rel * frobenius_norm(omega.mat)
     residuals = [_residual("reproduction", frobenius_norm(omega.mat - rebuilt), budget)]
     results = {"recovered": io.sequence_payload(recovered.mat)}

@@ -26,8 +26,10 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests its values too deeply: {exc}") from exc
 
 
 def _entry_to_complex(entry, where: str) -> complex:
@@ -74,10 +76,12 @@ def matrix_from_payload(payload, allow_partial: bool = False) -> np.ndarray:
     elif count != dim:
         raise ShapeError(f"expected {dim} vectors, got {count}")
 
-    mat = np.zeros((dim, count), dtype=complex)
+    # every length is checked before the matrix is allocated: the dimension is the file's claim
     for j, vec in enumerate(vectors):
         if not isinstance(vec, list) or len(vec) != dim:
             raise ShapeError(f"vector {j} must have {dim} entries")
+    mat = np.zeros((dim, count), dtype=complex)
+    for j, vec in enumerate(vectors):
         for i, entry in enumerate(vec):
             value = _entry_to_complex(entry, f"vector {j} entry {i}")
             if tag == "real" and value.imag != 0.0:
@@ -151,7 +155,8 @@ def certificate_from_payload(payload, tol: Tolerances) -> tuple[RDualCertificate
     on first use (RDualCertificate.fac_root).
     """
     if isinstance(payload, dict) and "results" in payload:
-        payload = payload.get("results", {}).get("certificate")
+        results = payload["results"]
+        payload = results.get("certificate") if isinstance(results, dict) else None
     if not isinstance(payload, dict):
         raise ParseError("no certificate bundle found in the file")
     for key in ("e_basis", "h_basis", "s_omega_sqrt_ext", "residual"):

@@ -37,17 +37,11 @@ column bounds it from below; both ends close on lambda_1 as
 (lambda_2 / lambda_1)^(2^j), so a matrix leaves the stack once its bracket
 is within (n + 8) eps / 2, and the norm is the square root of the upper end.
 Each step is a few batched BLAS products and reductions over the whole
-stack, where a Jacobi sweep takes n rounds of small numpy calls. A matrix
-still open after _SQUARINGS squarings, whose top singular values lie within
-about 1e-2 of each other, goes to a values-only pass of the engine, which
-shares _sweeps with svd: it rotates the rows of a work array and reads only
-their first n entries. svd hands it rows of [A; V], 2n wide. The fallback
-hands it rows of A alone, n wide, for the open matrices only: in one-sided
-Jacobi the singular values are the norms of the rotated columns of A, and V
-is needed only for the vectors (Demmel and Veselic), so it skips V, the
-left vectors and their completion. The rotations depend on A alone, so a
-fallback norm is bit for bit svd's largest singular value, and its work
-array is never larger than operator_norm's input.
+stack, where a Jacobi sweep takes n rounds of small numpy calls. The
+matrices still open after _SQUARINGS squarings, whose top singular values
+lie within about 1e-2 of each other, go to svd in one stacked call, and
+their norm is its largest singular value. So svd is the engine's one entry:
+every Jacobi pass sweeps rows of [A; V].
 
 A round gathers the rows of its pairs with take and makes three np.vecdot
 calls: the pair inner products over the rows' first n complex entries
@@ -103,7 +97,7 @@ from .types import (
 
 _SWEEP_CAP = 30
 # operator_norm squares A*A at most this many times; a matrix whose bracket
-# is still open then goes to the values-only Jacobi pass
+# is still open then goes to svd
 _SQUARINGS = 12
 # one-sided sweeps stop when every column pair is orthogonal to this
 # relative level, which bounds each normalized inner product directly
@@ -209,9 +203,11 @@ def svd(a) -> Svd:
     _sweeps(w, n)
 
     rows = w.reshape(count, n, 2 * n)
-    norms = _column_norms(rows, n)
     b = rows[:, :, :n].transpose(0, 2, 1)
     v = rows[:, :, n:].transpose(0, 2, 1)
+    # the singular values are the norms of the rotated columns; one below _TINY counts as zero
+    squares = np.real(np.einsum("kij,kij->kj", b.conj(), b))
+    norms = np.where(squares >= _TINY, np.sqrt(squares), 0.0)
     order = np.argsort(-norms, axis=1, kind="stable")
     norms = np.take_along_axis(norms, order, axis=1)
     b = np.take_along_axis(b, order[:, None, :], axis=2)
@@ -240,11 +236,10 @@ def _scaled(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sweeps(w: np.ndarray, n: int) -> None:
     """Rotate the rows of the work array w in place until every column pair of every matrix is orthogonal.
 
-    Row b*n + j of w holds column j of matrix b; the pair test and the
-    rotation angles read the first n entries of each row only, and each
-    rotation applies to the whole row. svd hands in rows of [A; V], 2n wide,
-    operator_norm rows of A alone, n wide; the A half rotates bit for bit
-    alike in both. Raises NoConvergence if _SWEEP_CAP sweeps do not suffice.
+    Row b*n + j of w holds column j of [A_b; V_b], 2n wide; the pair test
+    and the rotation angles read the A half only, and each rotation applies
+    to the whole row. svd is the one caller. Raises NoConvergence if
+    _SWEEP_CAP sweeps do not suffice.
     """
     first, later = _rounds(n, w.shape[0] // n)
     for sweep in range(1, _SWEEP_CAP + 1):
@@ -292,16 +287,6 @@ def _sweeps(w: np.ndarray, n: int) -> None:
     raise NoConvergence(sweep, measure)
 
 
-def _column_norms(rows: np.ndarray, n: int) -> np.ndarray:
-    """The norms of the rotated columns, from the first n entries of each row of rows (count, n, width).
-
-    A column whose squared norm is below _TINY counts as zero.
-    """
-    b = rows[:, :, :n].transpose(0, 2, 1)
-    squares = np.real(np.einsum("kij,kij->kj", b.conj(), b))
-    return np.where(squares >= _TINY, np.sqrt(squares), 0.0)
-
-
 def _as_stack(a) -> np.ndarray:
     """A matrix or a stack (..., n, n) of them as one C-ordered complex array.
 
@@ -328,14 +313,13 @@ def operator_norm(a) -> float | np.ndarray:
     the square root of the upper end, scaled back by 2^e. That value lies
     above sigma_max by at most (n + 8) eps / 4 plus the roundoff of the
     n-term products behind both ends, so within a small multiple of n eps.
-    A matrix still open after _SQUARINGS squarings, one whose top singular
-    values lie within about 1e-2 of each other relative, goes to the
-    values-only Jacobi pass: the sweeps rotate the columns of its scaled A
-    alone, with no V and no left vectors, and the largest rotated column
-    norm is the norm, bit for bit svd(a).singulars[..., 0]. The work array
-    of that pass holds only the open matrices, never more rows than the
-    input has. Which path a matrix takes depends on its own bracket alone,
-    so each norm of a stack is bit for bit that of its matrix taken alone.
+    The matrices still open after _SQUARINGS squarings, those whose top
+    singular values lie within about 1e-2 of each other relative, go to
+    one svd call on their scaled stack, and each norm is its largest
+    singular value, bit for bit svd(a).singulars[..., 0]: the scaled matrix
+    takes a's rotations. Which path a matrix takes depends on its own
+    bracket alone, so each norm of a stack is bit for bit that of its
+    matrix taken alone.
     Like svd, it takes no tolerance.
     """
     a = _as_stack(a)
@@ -343,10 +327,7 @@ def operator_norm(a) -> float | np.ndarray:
     scaled, e = _scaled(a.reshape(-1, n, n))
     out, unclosed = _bracket(scaled)
     if unclosed.size:
-        # transposing makes row b*n + j column j of matrix b; the reshape copies into a fresh array
-        w = scaled[unclosed].transpose(0, 2, 1).reshape(-1, n)
-        _sweeps(w, n)
-        out[unclosed] = np.max(_column_norms(w.reshape(-1, n, n), n), axis=1)
+        out[unclosed] = svd(scaled[unclosed]).singulars[:, 0]
     out = np.ldexp(out, e)
     if a.ndim == 2:
         return float(out[0])

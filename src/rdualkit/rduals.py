@@ -6,9 +6,16 @@ type-III dual composes the Parsevalized type-I dual with a norm-constrained
 operator Q; choosing Q as the extended square root of the dual's own frame
 operator makes the relation symmetric, and that choice is what the
 certificate here witnesses: two orthonormal bases plus the extended square
-root reproducing the dual sequence column by column. certify_symmetrical_pair
-reproduces omega by rdual_type_III with Q the extended root, decide_type_I_pair
-by rdual_type_I, and both recoveries check that the root of S_f is Hermitian.
+root reproducing the dual sequence column by column.
+
+One map carries all of it, rdual_type_I, which the same map under the
+swapped bases undoes. Every other dual map is an operator times one call
+to it: rdual_type_III is Q times the map of the Parsevalized f,
+gamma_sequence the same with the inverse extended root as Q, and both
+recoveries the root of S_f times the map of Q^-1 omega under (h, e).
+certify_symmetrical_pair reproduces omega by rdual_type_III with Q the
+extended root, decide_type_I_pair by rdual_type_I, and both recoveries
+check that the root of S_f is Hermitian.
 
 Each operation factors every input sequence once (frames.FactoredSequence)
 and builds the bases, the extended square root and the pair witness from
@@ -96,8 +103,9 @@ class RDualCertificate:
     Jacobi SVD of the matrix when loaded from a bundle. s_omega_sqrt_ext is
     its matrix, read off fac_ext, so the two cannot drift apart. residual is
     the verification defect of the reproduction identity. fac_f is the
-    certified f with the SVD certify_symmetrical_pair took of it, or None
-    for a certificate loaded from a bundle, which carries no f.
+    certified f with the SVD certify_symmetrical_pair took of it, and
+    budget the bound it held the residual to; both are None for a
+    certificate loaded from a bundle, which carries neither.
     """
 
     e_basis: OrthonormalBasis
@@ -105,6 +113,7 @@ class RDualCertificate:
     fac_ext: frames.FactoredSequence
     residual: float
     fac_f: frames.FactoredSequence | None = field(default=None, compare=False)
+    budget: float | None = field(default=None, compare=False)
 
     @property
     def s_omega_sqrt_ext(self) -> np.ndarray:
@@ -182,7 +191,11 @@ def _aligned_bases(
 
 
 def rdual_type_I(f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis) -> VectorSeq:
-    """Dual sequence whose j-th vector expands f's j-th analysis row in the h basis."""
+    """Dual sequence whose j-th vector expands f's j-th analysis row in the h basis.
+
+    This is h (e^H f)^T, the one place the package forms it. The map under
+    (h, e) undoes the map under (e, h): e (h^H h (e^H f)^T)^T = e e^H f = f.
+    """
     _require_same_dim(f.dim, e.dim, h.dim)
     coeff = e.mat.conj().T @ f.mat
     return VectorSeq(h.mat @ coeff.T)
@@ -221,7 +234,7 @@ def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
 def rdual_type_III(
     f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis, q: QOperator, tol: Tolerances | None = None
 ) -> VectorSeq:
-    """Type-III dual: the Parsevalized type-I dual with Q applied to the h side."""
+    """Type-III dual: Q times the type-I dual of the Parsevalized f under (e, h)."""
     tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, e.dim, h.dim, q.q.shape[0])
     fac = frames.FactoredSequence.of(f, tol)
@@ -229,8 +242,7 @@ def rdual_type_III(
         raise ZeroSequence("a zero sequence has no frame bounds")
     if not _bounds_close(fac.bounds(), q.validated_against, tol.cert_rel):
         raise BoundsMismatch("Q was validated against a different frame operator")
-    coeff = e.mat.conj().T @ fac.parseval()
-    return VectorSeq(q.q @ h.mat @ coeff.T)
+    return VectorSeq(q.q @ rdual_type_I(VectorSeq(fac.parseval()), e, h).mat)
 
 
 def recover_type_III(
@@ -243,8 +255,9 @@ def recover_type_III(
 ) -> VectorSeq:
     """Invert the type-III construction given the triple and the square root of S_f.
 
-    Q is inverted from the SVD it carries, at tol's rank threshold, so no
-    engine pass runs.
+    The result is s_f_sqrt times the type-I dual of Q^-1 omega under the
+    swapped bases (h, e), which undoes the map under (e, h). Q is inverted
+    from the SVD it carries, at tol's rank threshold, so no engine pass runs.
     """
     tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
@@ -255,8 +268,7 @@ def recover_type_III(
         q_inv = frames.FactoredSequence.of(q.fac_q, tol).inverse()
     except SingularAction as exc:
         raise QSingular(str(exc)) from exc
-    coeff = h.mat.conj().T @ q_inv @ omega.mat
-    return VectorSeq(s_f_sqrt @ e.mat @ coeff.T)
+    return VectorSeq(s_f_sqrt @ rdual_type_I(VectorSeq(q_inv @ omega.mat), h, e).mat)
 
 
 def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = None) -> RDualCertificate:
@@ -294,7 +306,9 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
     budget = tol.cert_rel * frobenius_norm(omega.mat)
     if residual > budget:
         raise CertificationFailed(f"reproduction residual {residual:.3e} exceeds budget {budget:.3e}")
-    return RDualCertificate(e_basis=e_basis, h_basis=h_basis, fac_ext=fac_ext, residual=residual, fac_f=fac_f)
+    return RDualCertificate(
+        e_basis=e_basis, h_basis=h_basis, fac_ext=fac_ext, residual=residual, fac_f=fac_f, budget=budget
+    )
 
 
 def _ext_inverse(fac_ext: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
@@ -313,7 +327,7 @@ def _ext_inverse(fac_ext: frames.FactoredSequence, tol: Tolerances) -> np.ndarra
 def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol: Tolerances | None = None) -> VectorSeq:
     """Recover the original sequence from its symmetrical dual and certificate.
 
-    This is the type-III recovery formula with Q taken as the certificate's
+    This is recover_type_III's formula with Q taken as the certificate's
     extended square root, whose adjoint inverse is its plain inverse. The
     root is inverted from the SVD the certificate carries, with its rank
     taken at tol, so no engine pass runs. Raises NotHermitian unless
@@ -325,8 +339,7 @@ def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol:
     if not is_hermitian(s_f_sqrt, tol):
         raise NotHermitian("s_f_sqrt must be Hermitian")
     ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_ext, tol), tol)
-    coeff = cert.h_basis.mat.conj().T @ ext_inv @ omega.mat
-    return VectorSeq(s_f_sqrt @ cert.e_basis.mat @ coeff.T)
+    return VectorSeq(s_f_sqrt @ rdual_type_I(VectorSeq(ext_inv @ omega.mat), cert.h_basis, cert.e_basis).mat)
 
 
 def _certified_f(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -> frames.FactoredSequence:
@@ -339,16 +352,15 @@ def _certified_f(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -> frame
 def gamma_sequence(f: VectorSeq, cert: RDualCertificate, tol: Tolerances | None = None) -> VectorSeq:
     """The dual companion sequence biorthogonal to omega for Riesz bases.
 
-    Columns are the inverse extended square root applied to the Parsevalized
-    type-I dual of f under the certificate bases. The root is inverted from
+    The inverse extended square root times the type-I dual of the
+    Parsevalized f under the certificate bases. The root is inverted from
     the certificate's Jacobi SVD of it (RDualCertificate.fac_root).
     """
     tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, cert.e_basis.dim)
     g = frames.parsevalize(_certified_f(f, cert, tol), tol)
     ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_root, tol), tol)
-    coeff = cert.e_basis.mat.conj().T @ g.mat
-    return VectorSeq(ext_inv @ cert.h_basis.mat @ coeff.T)
+    return VectorSeq(ext_inv @ rdual_type_I(g, cert.e_basis, cert.h_basis).mat)
 
 
 def coefficient_identity_check(

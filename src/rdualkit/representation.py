@@ -26,8 +26,8 @@ family costs one factorization and the coefficients reuse it. The 2n + 1
 operator norms that represent_inv_sqrt reports take one linalg.operator_norm
 call on one stack of the Lambda_k, the c-family error and the a-family
 prefix errors. Each norm is its matrix's own: it brackets sigma_max by
-repeated squaring, to within a few n eps, and falls back to the values-only
-engine pass only for a matrix with a clustered top.
+repeated squaring, to within a few n eps, and only a matrix with a
+clustered top reaches the engine, through linalg.svd.
 """
 
 from __future__ import annotations

@@ -206,9 +206,8 @@ class Svd:
     then stacked the same way, so left[k], singulars[k] and right[k] factor
     a[k]. The stack's matrices share one engine run: each round's pair
     indices are offset to every matrix's rows. operator_norm brackets the
-    largest singular value by repeated squaring of A*A and runs the same
-    engine, on A alone and without V, only for the matrices whose bracket
-    stays open; the linalg module says why.
+    largest singular value by repeated squaring of A*A and hands the
+    matrices whose bracket stays open to svd, the engine's one entry.
     """
 
     left: np.ndarray

@@ -10,10 +10,10 @@ from rdualkit import linalg
 def engine_passes(monkeypatch):
     """Every pass of the Jacobi engine, linalg._sweeps, in order, as (work-array shape, n).
 
-    svd and the values-only operator_norm both run the engine, so an
-    operator norm is a pass too. The work array holds n rows per matrix of
-    the stack it sweeps: 2n wide for svd's [A; V], n wide for A alone. Every
-    call site resolves _sweeps at call time, so internal passes are seen too.
+    svd is the engine's one entry; operator_norm reaches it only for the
+    matrices its squaring bracket leaves open. The work array holds n rows
+    per matrix of the stack it sweeps, each 2n wide, a column of [A; V].
+    svd resolves _sweeps at call time, so internal passes are seen too.
     """
     passes = []
     sweeps = linalg._sweeps

@@ -381,6 +381,40 @@ def test_modulus_beyond_float_range_is_an_input_error(tmp_path, capsys):
     assert captured.out == "" and captured.err == "input error: entries must be finite\n"
 
 
+def test_bytes_that_are_not_utf8_are_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dimension": 1, "field_tag": "real", "label": "\xe9", "vectors": [[1]]}')
+    assert cli.main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not valid JSON" in captured.err
+
+
+def test_nesting_beyond_the_recursion_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nests its values too deeply" in captured.err
+
+
+def test_a_report_whose_results_are_not_an_object_is_an_input_error(desk, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text('{"results": []}')
+    assert cli.main(["recover", desk["w"], "--cert", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: no certificate bundle found in the file\n"
+
+
+def test_a_dimension_no_vector_has_is_a_shape_error(desk, tmp_path, capsys):
+    # a 69-byte file claiming dimension 10^12 is rejected on its vector's
+    # length, before a 10^12-row matrix is allocated
+    path = tmp_path / "vbasis.json"
+    path.write_text('{"dimension": 1000000000000, "field_tag": "real", "vectors": [[1.0]]}')
+    assert cli.main(["extend", "--phi", desk["eye"], "--vbasis", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: vector 0 must have 1000000000000 entries\n"
+
+
 def _strict_json(text):
     def refuse(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

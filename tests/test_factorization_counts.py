@@ -5,7 +5,7 @@ resolves linalg's functions at call time, which lets the fixtures count
 internal calls as well by replacing the module attributes. The counts read
 the passes of the Jacobi engine, linalg._sweeps, off the shared
 engine_passes recorder. linalg.svd runs the engine; linalg.operator_norm
-runs it only on the matrices its squaring bracket leaves open, those with a
+hands svd only the matrices its squaring bracket leaves open, those with a
 clustered top, so an operator norm counts as a factorization only then, and
 the operator_norm calls are gated on their own. The engine takes a stack of
 matrices, so the passes are counted twice: as engine calls and as the

@@ -66,6 +66,12 @@ def test_parse_shape_and_format_errors(tmp_path):
         io.parse_sequence(str(tmp_path / "missing.json"))
 
 
+def test_vector_lengths_are_checked_before_the_matrix_is_allocated():
+    # the matrix would take 10^12 x 1 complex entries, 14.6 TiB
+    with pytest.raises(ShapeError, match="vector 0 must have"):
+        io.matrix_from_payload({"dimension": 10**12, "field_tag": "real", "vectors": [[1.0]]}, allow_partial=True)
+
+
 def test_parse_partial_matrix(tmp_path):
     path = write(tmp_path, "v.json", {"dimension": 3, "field_tag": "real", "vectors": [[1, 0, 0], [0, 1, 0]]})
     mat = io.parse_partial_matrix(path)

@@ -11,8 +11,8 @@ array, and its factors must be bit for bit those of one call per matrix.
 operator_norm brackets the largest singular value by repeated squaring of
 A*A: its norms must lie within a small multiple of n eps of numpy's at every
 scale, a stack's norms must be bit for bit those of one call per matrix, and
-a matrix whose bracket stays open must reach the values-only Jacobi pass,
-which sweeps A without V and gives svd's largest singular value bit for bit.
+the matrices whose bracket stays open must reach svd in one call on their
+stack, and take its largest singular value bit for bit.
 Neither svd nor operator_norm may change its bits with the BLAS thread count.
 hermitian_eig runs the SVD on the matrix shifted by its Frobenius norm, so
 the eigen cases here include indefinite inputs with eigenvalues +-lambda,
@@ -400,23 +400,45 @@ def _with_top_gap(n, gap, seed):
     return generate_sequence(n, "spectrum", sv, seed=seed).mat
 
 
-def test_operator_norm_stack_matches_one_call_per_matrix(engine_passes):
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every stack operator_norm hands to linalg.svd, in order, as a copy."""
+    calls = []
+    svd_ = linalg.svd
+
+    def recorded(a):
+        calls.append(np.array(a))
+        return svd_(a)
+
+    monkeypatch.setattr(linalg, "svd", recorded)
+    return calls
+
+
+def test_operator_norm_stack_matches_one_call_per_matrix(engine_passes, svd_calls):
     # which path a matrix takes depends on its own bracket alone, so the norms
     # of a stack are bit for bit those of one call per matrix, and only the
-    # matrices the bracket leaves open reach the Jacobi pass, whose work array
-    # holds them alone: here the two clustered tops, not all 12 matrices
+    # matrices the bracket leaves open reach the engine, in one svd call on
+    # their scaled stack: here the two clustered tops, not all 12 matrices
     n = 8
     rng = np.random.default_rng(37)
     dense = [rand_complex(rng, n) * 10.0 ** rng.integers(-3, 4) for _ in range(9)]
     clustered = [_with_top_gap(n, gap, seed) for seed, gap in ((1, 1e-6), (2, 1e-12))]
     stack = np.stack([*dense[:4], clustered[0], np.zeros((n, n)), *dense[4:], clustered[1]])
     norms = operator_norm(stack)
-    assert engine_passes == [((2 * n, n), n)]
+    (handed,) = svd_calls
+    assert handed.shape == (2, n, n)
+    # each open matrix goes in scaled by its power of two, which is exact
+    for got, a in zip(handed, stack[[4, 11]]):
+        assert _same_bits(got, np.ldexp(1.0, -np.frexp(np.max(np.abs(a)))[1]) * a)
+    assert engine_passes == [((2 * n, 2 * n), n)]
+    assert _same_bits(norms[[4, 11]], svd(stack[[4, 11]]).singulars[:, 0])
     assert norms.shape == (12,)
     assert norms[5] == 0.0
     engine_passes.clear()
+    svd_calls.clear()
     assert _same_bits(norms, np.array([operator_norm(a) for a in stack]))
-    assert engine_passes == [((n, n), n)] * 2
+    assert engine_passes == [((n, 2 * n), n)] * 2
+    assert [a.shape for a in svd_calls] == [(1, n, n)] * 2
     assert _same_bits(operator_norm(stack.reshape(2, 6, n, n)), norms.reshape(2, 6))
     assert isinstance(operator_norm(stack[0]), float)
 
@@ -440,7 +462,7 @@ def test_operator_norm_agrees_with_svd_sigma_max():
     # a closed bracket returns the square root of its upper end, within
     # (n + 8) eps / 4 above sigma_max plus the roundoff of its products, and
     # svd's sigma_max carries a few n eps of its own; a matrix the bracket
-    # leaves open takes the values-only pass, bit for bit svd's sigma_max
+    # leaves open goes to svd, and takes its sigma_max bit for bit
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(41)
     cases = [np.stack([rand_complex(rng, n) for _ in range(7)]) for n in (1, 2, 3, 8, 16, 24)]
@@ -480,15 +502,16 @@ def test_engine_bits_do_not_depend_on_the_blas_thread_count():
     assert _engine_digest("1") == _engine_digest("2")
 
 
-def test_operator_norm_no_convergence_reports_progress(monkeypatch, engine_passes):
+def test_operator_norm_no_convergence_reports_progress(monkeypatch, engine_passes, svd_calls):
     # the diagonal matrix's bracket closes at once; the clustered top stays
-    # open, so the Jacobi pass sweeps it alone, with svd's sweep loop, and
-    # stops at the same cap with the same report
+    # open, so svd sweeps it alone and stops at the same cap with the same
+    # report as a call on it
     monkeypatch.setattr(linalg, "_SWEEP_CAP", 1)
     a = _with_top_gap(16, 1e-12, seed=23)
     with pytest.raises(NoConvergence) as info:
         operator_norm(np.stack([a, np.diag(np.arange(1.0, 17.0))]))
-    assert engine_passes == [((16, 16), 16)]
+    assert [m.shape for m in svd_calls] == [(1, 16, 16)]
+    assert engine_passes == [((16, 32), 16)]
     err = info.value
     assert err.sweeps == 1
     assert linalg._PAIR_REL < err.pair_measure <= 1.0 + 1e-12
@@ -501,8 +524,8 @@ def test_operator_norm_no_convergence_reports_progress(monkeypatch, engine_passe
 def test_operator_norm_matches_the_numpy_norm_at_every_scale(engine_passes):
     # every norm lies within a small multiple of n eps of numpy's, for stacks
     # whose brackets close at once (unitary, rank one), after a few squarings
-    # (dense, graded, rank deficient) or never, so that the Jacobi pass takes
-    # them (a clustered top and a gap of 1e-3), at scales whose squares would
+    # (dense, graded, rank deficient) or never, so that svd takes them (a
+    # clustered top and a gap of 1e-3), at scales whose squares would
     # overflow or underflow unscaled
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(47)

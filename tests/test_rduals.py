@@ -16,7 +16,7 @@ from rdualkit.errors import (
     QTooLarge,
     RankMismatch,
 )
-from rdualkit.types import DEFAULT_TOL, RIESZ_BASIS, OrthonormalBasis, VectorSeq
+from rdualkit.types import DEFAULT_TOL, RIESZ_BASIS, OrthonormalBasis, VectorSeq, frobenius_norm
 
 
 def onb(rng, n):
@@ -88,6 +88,24 @@ def test_type_I_spectral_transfer():
         assert cf.kind == cw.kind and cf.rank == cw.rank
         assert abs(cf.bounds.lower - cw.bounds.lower) <= 1e-9
         assert abs(cf.bounds.upper - cw.bounds.upper) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 6, 48])
+@pytest.mark.parametrize("deficient", [False, True])
+@pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+def test_type_I_under_swapped_bases_undoes_itself(n, deficient, c):
+    # every other dual map is built on this: the map under (h, e) undoes the
+    # map under (e, h), since e (h^H h (e^H f)^T)^T = e e^H f = f, to the
+    # roundoff of four products on unitaries, relative to ||f||, at every
+    # scale and rank (for n = 1 the deficient f is zero and comes back exactly)
+    eps = np.finfo(np.float64).eps
+    rank = n // 2 if deficient else n
+    sv = np.geomspace(1.0, 1e-3, rank) if rank else [0.0]
+    for seed in range(3):
+        f = VectorSeq(c * generators.generate_sequence(n, "spectrum", sv, seed=seed).mat)
+        e, h = (OrthonormalBasis(generators.generate_sequence(n, "onb", seed=seed + k)) for k in (10, 20))
+        back = rduals.rdual_type_I(rduals.rdual_type_I(f, e, h), h, e)
+        assert frobenius_norm(back.mat - f.mat) <= 8.0 * eps * frobenius_norm(f.mat), seed
 
 
 def test_validate_q_boundary_and_rejections():
@@ -279,6 +297,8 @@ def test_certify_recover_round_trip_at_every_scale(c):
     f, omega, _, _ = _scaled_pair(c)
     cert = rduals.certify_symmetrical_pair(f, omega)
     assert cert.residual <= 1e-13 * np.linalg.norm(omega.mat)
+    # the certificate carries the budget it was held to, which CLI certify reports
+    assert cert.budget == DEFAULT_TOL.cert_rel * frobenius_norm(omega.mat)
     back = rduals.recover_symmetrical(omega, cert, frames.FactoredSequence.of(f, DEFAULT_TOL).sqrt())
     assert np.max(np.abs(back.mat - f.mat)) <= 1e-12 * c
 
@@ -386,7 +406,7 @@ def test_gamma_of_other_inputs_matches_the_cold_formula(deficit):
     other, _ = _typed_pair(16, 1e3, deficit, seed=6)
     cert = rduals.certify_symmetrical_pair(f, omega)
     loaded, _ = io.certificate_from_payload(io.certificate_payload(cert, np.eye(16)), DEFAULT_TOL)
-    assert loaded.fac_f is None
+    assert loaded.fac_f is None and loaded.budget is None
     for c, g in ((loaded, f), (cert, other), (loaded, other)):
         want = _gamma_from_cold_factors(g, c)
         got = rduals.gamma_sequence(g, c).mat

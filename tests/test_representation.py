@@ -127,8 +127,8 @@ def test_lambda_family_matches_its_definition_seeded():
 
 
 def test_lambda_norm_oracle_seeded():
-    # numpy.linalg.norm(., 2) is the oracle, independent of the Jacobi engine
-    # whose values-only pass takes the report's norms
+    # numpy.linalg.norm(., 2) is the oracle, independent of the squaring
+    # bracket and the Jacobi engine that take the report's norms
     rng = np.random.default_rng(401)
     for _ in range(100):
         n = int(rng.integers(2, 9))
