@@ -25,18 +25,17 @@ from .types import (
     Tolerances,
     VectorSeq,
     frobenius_norm,
+    singular_gap,
 )
 
 PASS = "pass"
 FAIL = "fail"
 MEASURED = "measured"
 
-# Budgets of residuals that are scale-free, so they take a fixed bound and no
-# relative tolerance: the Gram matrix of a generated orthonormal basis against
-# the identity, and an extended operator times its extended inverse against
-# the identity (both have unit norm whatever the inputs' scale)
+# The budget of a scale-free residual, so a fixed bound and no relative
+# tolerance: the Gram matrix of a generated orthonormal basis against the
+# identity, which has unit norm whatever the seed
 _ONB_DEFECT = 1e-10
-_INVERSE_DEFECT = 1e-11
 
 
 @dataclass
@@ -206,11 +205,7 @@ def _cmd_rdual_type1(args, tol):
     h = _basis_from_file(args.h, tol)
     # f and its dual are factored together, in one stacked engine call
     f, out = frames.FactoredSequence.of_all([f, rduals.rdual_type_I(f, e, h)], tol)
-    sv_f = f.dec.singulars
-    sv_w = out.dec.singulars
-    # each computed singular value is off by at most a roundoff multiple of sigma_max
-    budget = tol.cert_rel * max(float(sv_f[0]), float(sv_w[0]))
-    residuals = [_residual("singular_transfer", np.max(np.abs(sv_f - sv_w)), budget)]
+    residuals = [_residual("singular_transfer", *singular_gap(f.dec.singulars, out.dec.singulars, tol))]
     results = {"omega": io.sequence_payload(out.mat)}
     return results, residuals
 
@@ -355,18 +350,22 @@ def _cmd_represent(args, tol):
 
 
 def _cmd_extend(args, tol):
-    action = io.parse_sequence(args.phi).mat
+    # the action is factored once; the extension and its inverse reuse that SVD
+    (action,) = _factored([args.phi], tol)
     v_basis = io.parse_partial_matrix(args.vbasis)
     sub = SubspaceOperator(v_basis.shape[0], v_basis, action, tol=tol)
     ext = extension.extend_operator(sub, tol)
     ext_inv = extension.extended_inverse(sub, tol)
-    action_sv = linalg.svd(action).singulars
+    sv = action.dec.singulars
     norm_ext, norm_inv = linalg.operator_norm(np.stack([ext, ext_inv]))
-    # the norms are sigma_1 and 1/sigma_k, each found to roundoff relative to itself
+    # the norms are sigma_1 and 1/sigma_k, each found to roundoff relative to itself; the
+    # product's roundoff grows as eps times the condition number sigma_1/sigma_k
     residuals = [
-        _residual("norm_preservation", abs(norm_ext - action_sv[0]), tol.exact_rel * action_sv[0]),
-        _residual("inverse_norm_preservation", abs(norm_inv - 1.0 / action_sv[-1]), tol.exact_rel / action_sv[-1]),
-        _residual("inverse_product", np.linalg.norm(ext @ ext_inv - np.eye(v_basis.shape[0])), _INVERSE_DEFECT),
+        _residual("norm_preservation", abs(norm_ext - sv[0]), tol.exact_rel * sv[0]),
+        _residual("inverse_norm_preservation", abs(norm_inv - 1.0 / sv[-1]), tol.exact_rel / sv[-1]),
+        _residual(
+            "inverse_product", np.linalg.norm(ext @ ext_inv - np.eye(v_basis.shape[0])), tol.exact_rel * sv[0] / sv[-1]
+        ),
     ]
     results = {
         "extension": io.sequence_payload(ext),
@@ -386,7 +385,12 @@ def _parse_sv(raw: str | None):
 
 def _cmd_generate(args, tol):
     sv = _parse_sv(args.sv)
-    seq = frames.FactoredSequence.of(generators.generate_sequence(args.n, args.kind, sv, args.seed), tol)
+    try:
+        drawn = generators.generate_sequence(args.n, args.kind, sv, args.seed)
+    except MemoryError as exc:
+        # numpy refuses an array it cannot allocate before it writes any of it
+        raise UsageError(f"--n {args.n} needs more memory than numpy can allocate: {exc}") from exc
+    seq = frames.FactoredSequence.of(drawn, tol)
     label = f"{args.kind} n={args.n} seed={args.seed}"
     payload = io.sequence_payload(seq.mat, label=label)
     info = frames.classify(seq, tol)
@@ -395,9 +399,7 @@ def _cmd_generate(args, tol):
     else:
         target = np.zeros(args.n)
         target[: len(sv)] = np.sort(np.asarray(sv))[::-1]
-        got = seq.dec.singulars
-        budget = tol.cert_rel * max(float(got[0]), float(target[0]))
-        check = _residual("singular_match", np.max(np.abs(got - target)), budget)
+        check = _residual("singular_match", *singular_gap(seq.dec.singulars, target, tol))
     residuals = [check]
     results = {
         "sequence": payload,

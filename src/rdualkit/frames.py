@@ -173,18 +173,16 @@ class FactoredSequence(VectorSeq):
         return (left * values) @ left.conj().T
 
 
-def optimal_bounds(s: VectorSeq, tol: Tolerances | None = None) -> FrameBounds:
+def optimal_bounds(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> FrameBounds:
     """Extreme nonzero eigenvalues of the frame operator, as (lower, upper)."""
-    tol = tol or DEFAULT_TOL
     fac = FactoredSequence.of(s, tol)
     if fac.rank == 0:
         raise ZeroSequence("a zero sequence has no frame bounds")
     return fac.bounds()
 
 
-def classify(s: VectorSeq, tol: Tolerances | None = None) -> Classification:
+def classify(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> Classification:
     """Rank plus kind plus bounds; bounds are absent only for the zero sequence."""
-    tol = tol or DEFAULT_TOL
     fac = FactoredSequence.of(s, tol)
     if fac.rank == 0:
         return Classification(rank=0, kind=ZERO_SEQUENCE, bounds=None)
@@ -192,34 +190,31 @@ def classify(s: VectorSeq, tol: Tolerances | None = None) -> Classification:
     return Classification(rank=fac.rank, kind=kind, bounds=fac.bounds())
 
 
-def canonical_dual(s: VectorSeq, tol: Tolerances | None = None) -> VectorSeq:
+def canonical_dual(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
     """The sequence of pseudo-inverse images of the vectors under the frame operator.
 
     On span(s) this reproduces every vector from its frame coefficients.
     """
-    tol = tol or DEFAULT_TOL
     fac = FactoredSequence.of(s, tol)
     if fac.rank == 0:
         raise ZeroSequence("the zero sequence has no canonical dual")
     return VectorSeq(fac.canonical_dual())
 
 
-def parsevalize(s: VectorSeq, tol: Tolerances | None = None) -> VectorSeq:
+def parsevalize(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
     """Apply the pseudo-inverse square root of the frame operator to each vector.
 
     The result is a Parseval frame for span(s): its frame operator is the
     orthogonal projection onto the span.
     """
-    tol = tol or DEFAULT_TOL
     fac = FactoredSequence.of(s, tol)
     if fac.rank == 0:
         raise ZeroSequence("the zero sequence cannot be normalized")
     return VectorSeq(fac.parseval())
 
 
-def verify_dual_pair(f: VectorSeq, g: VectorSeq, tol: Tolerances | None = None) -> bool:
+def verify_dual_pair(f: VectorSeq, g: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when both mixed synthesis identities reproduce the identity operator."""
-    tol = tol or DEFAULT_TOL
     if f.dim != g.dim:
         raise DimensionMismatch(f"dimensions differ: {f.dim} vs {g.dim}")
     eye = np.eye(f.dim)

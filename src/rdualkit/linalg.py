@@ -138,7 +138,7 @@ def _rounds(n: int, count: int):
     return first, later
 
 
-def hermitian_eig(a, tol: Tolerances | None = None) -> EigenDecomposition:
+def hermitian_eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix through the one-sided Jacobi SVD.
 
     The shift by the Frobenius norm makes w + shift*I positive semidefinite,
@@ -149,7 +149,6 @@ def hermitian_eig(a, tol: Tolerances | None = None) -> EigenDecomposition:
     NotHermitian when the input is not symmetric to working precision and
     NoConvergence (from svd) if the sweep cap is exhausted.
     """
-    tol = tol or DEFAULT_TOL
     a = as_operator(a)
     n = a.shape[0]
     if not is_hermitian(a, tol):
@@ -397,13 +396,12 @@ def numerical_rank(singulars: np.ndarray, rank_rel: float) -> int:
     return int(np.count_nonzero(singulars > rank_rel * singulars[0]))
 
 
-def inverse(a, tol: Tolerances | None = None) -> np.ndarray:
+def inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Matrix inverse through the one-sided Jacobi SVD.
 
     Raises SingularAction when numerical_rank, at tol's rank threshold,
     falls short of the dimension.
     """
-    tol = tol or DEFAULT_TOL
     dec = svd(a)
     s = dec.singulars
     if numerical_rank(s, tol.rank_rel) < s.size:
@@ -411,22 +409,21 @@ def inverse(a, tol: Tolerances | None = None) -> np.ndarray:
     return (dec.right / s) @ dec.left.conj().T
 
 
-def psd_sqrt(a, tol: Tolerances | None = None) -> np.ndarray:
+def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues slightly negative from roundoff (within rank_rel of the scale)
     are clamped to zero; anything lower raises NotPsd.
     """
-    return _psd_spectral(a, tol or DEFAULT_TOL, lambda lam: np.sqrt(np.clip(lam, 0.0, None)))
+    return _psd_spectral(a, tol, lambda lam: np.sqrt(np.clip(lam, 0.0, None)))
 
 
-def psd_pinv_sqrt(a, tol: Tolerances | None = None) -> np.ndarray:
+def psd_pinv_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Pseudo-inverse square root: lambda -> lambda^(-1/2) on the numerical range.
 
     Eigenvalues at or below rank_rel * lambda_max map to zero, so the result
     acts only on the span and annihilates the numerical kernel.
     """
-    tol = tol or DEFAULT_TOL
 
     def inv_sqrt(lam):
         thr = tol.rank_rel * max(lam[-1], 0.0)
@@ -446,14 +443,13 @@ def _psd_spectral(a, tol: Tolerances, value_map) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def complete_to_onb(partial, dim: int | None = None, tol: Tolerances | None = None) -> OrthonormalBasis:
+def complete_to_onb(partial, dim: int | None = None, tol: Tolerances = DEFAULT_TOL) -> OrthonormalBasis:
     """Extend k <= n orthonormal vectors to a full orthonormal basis.
 
     `partial` is a list of vectors (or an n x k column matrix); `dim` is
     required when the list is empty. The input vectors are kept verbatim as
     the first k columns.
     """
-    tol = tol or DEFAULT_TOL
     if isinstance(partial, np.ndarray) and partial.ndim == 2:
         cols = np.array(partial, dtype=np.complex128)
     else:

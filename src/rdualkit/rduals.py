@@ -74,6 +74,7 @@ from .types import (
     frobenius_norm,
     is_hermitian,
     pow2_exponent,
+    singular_gap,
 )
 
 
@@ -171,14 +172,10 @@ def _require_same_dim(*dims: int):
         raise DimensionMismatch(f"dimensions differ: {dims}")
 
 
-def _bounds_close(a: FrameBounds, b: FrameBounds, cert_rel: float) -> bool:
-    # the bounds are sigma_r^2 and sigma_1^2, and an SVD finds every sigma to
-    # an absolute error of order eps * sigma_1, so compare the square roots
-    # against the larger sigma_1, the error model of decide_type_I_pair's gap
-    scale = cert_rel * np.sqrt(max(a.upper, b.upper))
-    low_ok = abs(np.sqrt(a.lower) - np.sqrt(b.lower)) <= scale
-    up_ok = abs(np.sqrt(a.upper) - np.sqrt(b.upper)) <= scale
-    return low_ok and up_ok
+def _bounds_close(a: FrameBounds, b: FrameBounds, tol: Tolerances) -> bool:
+    # the bounds are sigma_r^2 and sigma_1^2, so singular_gap compares their square roots
+    gap, budget = singular_gap(np.sqrt([a.upper, a.lower]), np.sqrt([b.upper, b.lower]), tol)
+    return gap <= budget
 
 
 def _aligned_bases(
@@ -201,7 +198,7 @@ def rdual_type_I(f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis) -> Vect
     return VectorSeq(h.mat @ coeff.T)
 
 
-def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
+def validate_q(q, f: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> QOperator:
     """Check the two norm inequalities tying Q to the optimal frame bounds of f.
 
     norm(Q) may not exceed the square root of the upper bound and
@@ -212,7 +209,6 @@ def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
     which reuses the SVD of either when it comes in factored, and must share
     one dimension.
     """
-    tol = tol or DEFAULT_TOL
     fac, fac_q = frames.FactoredSequence.of_all((f, q if isinstance(q, VectorSeq) else VectorSeq(q)), tol)
     if fac.rank == 0:
         raise ZeroSequence("f is the zero sequence; no Q can be validated")
@@ -232,15 +228,14 @@ def validate_q(q, f: VectorSeq, tol: Tolerances | None = None) -> QOperator:
 
 
 def rdual_type_III(
-    f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis, q: QOperator, tol: Tolerances | None = None
+    f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis, q: QOperator, tol: Tolerances = DEFAULT_TOL
 ) -> VectorSeq:
     """Type-III dual: Q times the type-I dual of the Parsevalized f under (e, h)."""
-    tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, e.dim, h.dim, q.q.shape[0])
     fac = frames.FactoredSequence.of(f, tol)
     if fac.rank == 0:
         raise ZeroSequence("a zero sequence has no frame bounds")
-    if not _bounds_close(fac.bounds(), q.validated_against, tol.cert_rel):
+    if not _bounds_close(fac.bounds(), q.validated_against, tol):
         raise BoundsMismatch("Q was validated against a different frame operator")
     return VectorSeq(q.q @ rdual_type_I(VectorSeq(fac.parseval()), e, h).mat)
 
@@ -251,7 +246,7 @@ def recover_type_III(
     h: OrthonormalBasis,
     q: QOperator,
     s_f_sqrt,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> VectorSeq:
     """Invert the type-III construction given the triple and the square root of S_f.
 
@@ -259,7 +254,6 @@ def recover_type_III(
     swapped bases (h, e), which undoes the map under (e, h). Q is inverted
     from the SVD it carries, at tol's rank threshold, so no engine pass runs.
     """
-    tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
     _require_same_dim(omega.dim, e.dim, h.dim, q.q.shape[0], s_f_sqrt.shape[0])
     if not is_hermitian(s_f_sqrt, tol):
@@ -271,7 +265,7 @@ def recover_type_III(
     return VectorSeq(s_f_sqrt @ rdual_type_I(VectorSeq(q_inv @ omega.mat), h, e).mat)
 
 
-def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = None) -> RDualCertificate:
+def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> RDualCertificate:
     """Construct and verify the symmetrical type-III relation between f and omega.
 
     Requires equal ranks and equal optimal bounds. With f = U_f S_f V_f^H
@@ -283,7 +277,6 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
     returned residual measures the reproduction of omega by rdual_type_III
     with that root as Q, and must sit inside the certification budget.
     """
-    tol = tol or DEFAULT_TOL
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
     if fac_f.rank != fac_w.rank:
         raise RankMismatch(f"ranks differ: {fac_f.rank} vs {fac_w.rank}")
@@ -291,7 +284,7 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | N
         raise ZeroSequence("cannot certify a pair of zero sequences")
     bounds_f = fac_f.bounds()
     bounds_w = fac_w.bounds()
-    if not _bounds_close(bounds_f, bounds_w, tol.cert_rel):
+    if not _bounds_close(bounds_f, bounds_w, tol):
         raise BoundsMismatch(
             f"optimal bounds differ: ({bounds_f.lower:.6g}, {bounds_f.upper:.6g})"
             f" vs ({bounds_w.lower:.6g}, {bounds_w.upper:.6g})"
@@ -324,7 +317,7 @@ def _ext_inverse(fac_ext: frames.FactoredSequence, tol: Tolerances) -> np.ndarra
         raise CertificationFailed(f"certificate operator is not invertible: {exc}") from exc
 
 
-def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol: Tolerances | None = None) -> VectorSeq:
+def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
     """Recover the original sequence from its symmetrical dual and certificate.
 
     This is recover_type_III's formula with Q taken as the certificate's
@@ -333,7 +326,6 @@ def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol:
     taken at tol, so no engine pass runs. Raises NotHermitian unless
     s_f_sqrt is Hermitian, as recover_type_III does.
     """
-    tol = tol or DEFAULT_TOL
     s_f_sqrt = as_operator(s_f_sqrt)
     _require_same_dim(omega.dim, cert.e_basis.dim, cert.h_basis.dim, s_f_sqrt.shape[0])
     if not is_hermitian(s_f_sqrt, tol):
@@ -349,14 +341,13 @@ def _certified_f(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -> frame
     return frames.FactoredSequence.of(f, tol)
 
 
-def gamma_sequence(f: VectorSeq, cert: RDualCertificate, tol: Tolerances | None = None) -> VectorSeq:
+def gamma_sequence(f: VectorSeq, cert: RDualCertificate, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
     """The dual companion sequence biorthogonal to omega for Riesz bases.
 
     The inverse extended square root times the type-I dual of the
     Parsevalized f under the certificate bases. The root is inverted from
     the certificate's Jacobi SVD of it (RDualCertificate.fac_root).
     """
-    tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, cert.e_basis.dim)
     g = frames.parsevalize(_certified_f(f, cert, tol), tol)
     ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_root, tol), tol)
@@ -364,7 +355,7 @@ def gamma_sequence(f: VectorSeq, cert: RDualCertificate, tol: Tolerances | None 
 
 
 def coefficient_identity_check(
-    f: VectorSeq, omega: VectorSeq, cert: RDualCertificate, tol: Tolerances | None = None
+    f: VectorSeq, omega: VectorSeq, cert: RDualCertificate, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Largest deviation between the two coefficient readings of the dual relation.
 
@@ -372,7 +363,6 @@ def coefficient_identity_check(
     all index pairs; valid certificates keep this at roundoff level. f and
     the root are factored as in gamma_sequence.
     """
-    tol = tol or DEFAULT_TOL
     _require_same_dim(f.dim, omega.dim, cert.e_basis.dim)
     ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_root, tol), tol)
     lhs = cert.h_basis.mat.conj().T @ ext_inv @ omega.mat
@@ -381,7 +371,7 @@ def coefficient_identity_check(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = None) -> PairDecision:
+def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> PairDecision:
     """Decide whether omega is a type-I dual of f for some pair of bases.
 
     In the square model the decision reduces to agreement of the full
@@ -393,12 +383,11 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances | None = 
     unitary part U_w U_f^T maps the left singular vectors of f, conjugated,
     onto those of omega.
     """
-    tol = tol or DEFAULT_TOL
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
     dec_f, dec_w = fac_f.dec, fac_w.dec
     spectra_f, spectra_w = fac_f.spectrum(), fac_w.spectrum()
-    gap = float(np.max(np.abs(dec_f.singulars - dec_w.singulars)))
-    if gap > tol.cert_rel * max(float(dec_f.singulars[0]), float(dec_w.singulars[0])):
+    gap, budget = singular_gap(dec_f.singulars, dec_w.singulars, tol)
+    if gap > budget:
         return PairDecision(
             is_pair=False,
             spectra_f=spectra_f,

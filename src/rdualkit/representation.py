@@ -118,14 +118,13 @@ class RepresentationReport:
         object.__setattr__(self, "operator_c", as_operator(self.operator_c))
 
 
-def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances | None = None) -> ShiftFamily:
+def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances = DEFAULT_TOL) -> ShiftFamily:
     """Cyclic shift on h conjugated by the extended square root of omega.
 
     The square root of the frame operator is restricted to the span of omega
     and extended to the whole space, so the family is defined even when omega
     is rank deficient.
     """
-    tol = tol or DEFAULT_TOL
     if omega.dim != h.dim:
         raise DimensionMismatch(f"dimensions differ: {omega.dim} vs {h.dim}")
     fac = frames.FactoredSequence.of(omega, tol)
@@ -163,7 +162,7 @@ def coefficients(
     omega: VectorSeq,
     h: OrthonormalBasis,
     fam: ShiftFamily,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> CoefficientReport:
     """All three coefficient families for the pair (f, omega) under the basis h.
 
@@ -171,7 +170,6 @@ def coefficients(
     span it carries, so omega is not factored again. Another omega raises
     CertificationFailed.
     """
-    tol = tol or DEFAULT_TOL
     if len({f.dim, omega.dim, h.dim, fam.dim}) != 1:
         raise DimensionMismatch(
             f"dimensions differ: {f.dim}, {omega.dim}, {h.dim}, {fam.dim}"
@@ -212,7 +210,7 @@ def represent_inv_sqrt(
     fam: ShiftFamily,
     lambdas: list[np.ndarray],
     coeffs: CoefficientReport,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> RepresentationReport:
     """Sum both coefficient families against the lambdas and measure the errors.
 
@@ -229,7 +227,6 @@ def represent_inv_sqrt(
     its matrix taken alone and lies within a few n eps of sigma_max, far
     inside the budget.
     """
-    tol = tol or DEFAULT_TOL
     n = fam.dim
     if len(lambdas) != n or len(coeffs.a) != n:
         raise DimensionMismatch(

@@ -105,6 +105,16 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def singular_gap(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[float, float]:
+    """The largest gap max |a_i - b_i| between two descending singular-value lists, and its budget.
+
+    An SVD finds every singular value to a roundoff multiple of sigma_1, so the
+    budget is cert_rel times the larger first value: one verdict at every scale.
+    """
+    gap = float(np.max(np.abs(a - b)))
+    return gap, tol.cert_rel * max(float(a[0]), float(b[0]))
+
+
 @dataclass(frozen=True)
 class VectorSeq:
     """An ordered list of exactly n vectors in C^n, kept as matrix columns."""
@@ -226,13 +236,15 @@ class Svd:
 class SubspaceOperator:
     """An invertible operator on a k-dimensional subspace V of C^n.
 
-    v_basis columns span V and must be orthonormal; action is the k x k matrix
-    of the operator in v_basis coordinates.
+    v_basis columns span V and must be orthonormal; action is the operator
+    in v_basis coordinates, given as a k x k matrix or a VectorSeq and kept
+    as a VectorSeq. An action that comes factored (frames.FactoredSequence)
+    keeps its SVD, which the extension then reuses.
     """
 
     ambient_dim: int
     v_basis: np.ndarray
-    action: np.ndarray
+    action: VectorSeq
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
@@ -245,9 +257,9 @@ class SubspaceOperator:
         # its Gram product below would overflow on an entry of infinite modulus
         if not has_finite_moduli(vb):
             raise ValueError("v_basis entries must be finite")
-        act = as_operator(self.action)
-        if act.shape[0] != k:
-            raise DimensionMismatch(f"action is {act.shape[0]} x {act.shape[0]} but V has dimension {k}")
+        act = self.action if isinstance(self.action, VectorSeq) else VectorSeq(self.action)
+        if act.dim != k:
+            raise DimensionMismatch(f"action is {act.dim} x {act.dim} but V has dimension {k}")
         defect = np.linalg.norm(vb.conj().T @ vb - np.eye(k))
         if defect > self.tol.cert_rel:
             raise NotOrthonormal(f"v_basis Gram deviates from identity by {defect:.3e}")

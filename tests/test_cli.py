@@ -7,7 +7,7 @@ import pytest
 
 from rdualkit import cli, generators, io, rduals
 from rdualkit.errors import UsageError
-from rdualkit.types import OrthonormalBasis, VectorSeq
+from rdualkit.types import DEFAULT_TOL, OrthonormalBasis, VectorSeq
 
 
 def seq_file(tmp_path, name, mat, label=None):
@@ -502,25 +502,37 @@ def test_generate_bad_seed_is_a_domain_failure(capsys):
         assert report["verdict"] == "fail" and report["results"]["error"] == "BadSpec"
 
 
+def test_generate_beyond_memory_is_a_usage_error(capsys):
+    # numpy refuses the 1e8 x 1e8 draw before it allocates any of it: exit
+    # status 2 with a one-line usage error, no traceback and no report
+    assert cli.main(["generate", "--n", "100000000", "--kind", "onb"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --n 100000000 needs more memory")
+
+
 def test_tolerance_flags_reach_report(desk):
     report = cli.run(["analyze", desk["eye"], "--tol-rank", "1e-8", "--tol-cert", "1e-7"])
     assert report.tolerances.rank_rel == 1e-8
     assert report.tolerances.cert_rel == 1e-7
 
 
-@pytest.mark.parametrize("budget, check", [("_ONB_DEFECT", "gram_defect"), ("_INVERSE_DEFECT", "inverse_product")])
+@pytest.mark.parametrize("budget, check", [("_ONB_DEFECT", "gram_defect"), ("condition", "inverse_product")])
 def test_scale_free_gates_read_their_budget(tmp_path, budget, check):
-    # generate's Gram defect and extend's inverse product are gated by named
-    # module budgets, not by literals at the call site
+    # generate's Gram defect is gated by a named module budget, not by a
+    # literal at the call site; extend's inverse product by exact_rel times the
+    # action's condition number sigma_1/sigma_k, since its roundoff grows as eps times that
     rng = np.random.default_rng(61)
-    phi = seq_file(tmp_path, "phi.json", rng.standard_normal((3, 3)) + 3.0 * np.eye(3))
+    action = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    sv = np.linalg.svd(action, compute_uv=False)
+    phi = seq_file(tmp_path, "phi.json", action)
     vbasis = seq_file(tmp_path, "vb.json", generators.random_onb(5, np.random.default_rng(62))[:, :3])
-    argv = {
-        "_ONB_DEFECT": ["generate", "--n", "8", "--kind", "onb", "--seed", "3"],
-        "_INVERSE_DEFECT": ["extend", "--phi", phi, "--vbasis", vbasis],
+    argv, tolerance = {
+        "_ONB_DEFECT": (["generate", "--n", "8", "--kind", "onb", "--seed", "3"], cli._ONB_DEFECT),
+        "condition": (["extend", "--phi", phi, "--vbasis", vbasis], DEFAULT_TOL.exact_rel * sv[0] / sv[-1]),
     }[budget]
     report = cli.run(argv)
     assert report.verdict == "pass"
     (entry,) = [r for r in report.residuals if r["name"] == check]
-    assert entry["tolerance"] == getattr(cli, budget)
+    assert entry["tolerance"] == pytest.approx(tolerance, rel=1e-12)
     assert 0.0 < entry["value"] <= entry["tolerance"]

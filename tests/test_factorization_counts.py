@@ -196,9 +196,10 @@ def cli_files(tmp_path):
 # rdual type3; recover factors the bundle's extended root on loading and the
 # recovered sequence, gamma factors the extended root once, for gamma_sequence
 # and the coefficient check, and reuses certify's SVD of f, and extend
-# factors the action three times. extend takes its two operator norms in one
-# call, and the extended inverse, whose top singular value 1/sigma_k repeats
-# on the complement of V, reaches the engine; represent takes its 2N + 1
+# factors the action once, for the extension, its inverse and the norms it
+# gates. extend takes its two operator norms in one call, and the extended
+# inverse, whose top singular value 1/sigma_k repeats on the complement of V,
+# reaches the engine, its second pass; represent takes its 2N + 1
 # operator norms in one call whose brackets all close without it
 CLI_CASES = {
     "analyze": (lambda p: ["analyze", p["f"]], (1, 1), "pass"),
@@ -218,7 +219,7 @@ CLI_CASES = {
     "decide pair": (lambda p: ["decide", p["f"], p["omega"]], (1, 2), "pass"),
     "decide non-pair": (lambda p: ["decide", p["f_off"], p["omega"]], (1, 2), "pass"),
     "represent": (lambda p: ["represent", p["f"], p["omega"]], (1, 2), "measured"),
-    "extend": (lambda p: ["extend", "--phi", p["phi"], "--vbasis", p["vbasis"]], (4, 4), "pass"),
+    "extend": (lambda p: ["extend", "--phi", p["phi"], "--vbasis", p["vbasis"]], (2, 2), "pass"),
     "generate spectrum": (
         lambda p: ["generate", "--n", str(N), "--kind", "spectrum", "--sv", "2,1,0.5"],
         (1, 1),

@@ -699,17 +699,36 @@ def _names_read(fn) -> set:
     }
 
 
-def test_library_functions_read_every_parameter():
-    # a parameter a function accepts and never reads is a no-op option; a
-    # p = p or DEFAULT_TOL default alone does not read p, and a method's
-    # self or cls is not a parameter a caller sets
-    unread = []
+def _library_functions():
+    """(file name, function node) for every function defined in the library's source."""
     for path in sorted(pathlib.Path(rdualkit.__file__).parent.rglob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = fn.args
-            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
-            read = _names_read(fn)
-            unread += [f"{path.name}:{fn.name}({p})" for p in params if p not in read and p not in ("self", "cls")]
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.name, fn
+
+
+def test_library_functions_read_every_parameter():
+    # a parameter a function accepts and never reads is a no-op option; a
+    # p = p or default line alone does not read p, and a method's
+    # self or cls is not a parameter a caller sets
+    unread = []
+    for name, fn in _library_functions():
+        args = fn.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+        read = _names_read(fn)
+        unread += [f"{name}:{fn.name}({p})" for p in params if p not in read and p not in ("self", "cls")]
     assert unread == []
+
+
+def test_tol_parameters_are_required_or_default_to_DEFAULT_TOL():
+    # the defaults have one home, DEFAULT_TOL: no tol parameter takes None
+    # to stand for it, so no function body re-derives it
+    stray = []
+    for name, fn in _library_functions():
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        defaults = [None] * (len(positional) - len(args.defaults)) + list(args.defaults)
+        for arg, default in (*zip(positional, defaults), *zip(args.kwonlyargs, args.kw_defaults)):
+            if arg.arg == "tol" and default is not None and ast.unparse(default) != "DEFAULT_TOL":
+                stray.append(f"{name}:{fn.name}(tol={ast.unparse(default)})")
+    assert stray == []
