@@ -61,7 +61,7 @@ def cross_gram(f: VectorSeq, g: VectorSeq) -> np.ndarray:
     return f.mat.T @ g.mat.conj()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredSequence(VectorSeq):
     """A sequence with one SVD T = U diag(sigma) V^H of its synthesis matrix, and its rank.
 
@@ -152,21 +152,15 @@ class FactoredSequence(VectorSeq):
         This is S^(1/2) restricted to the span and extended by sigma_r on its
         complement, what extension.extend_operator builds from the
         restricted action. It comes with that spectral form as its SVD,
-        left = right = U, so inverting it factors nothing. The rank must
-        be positive; every extended value is then one of sigma_1..sigma_r,
-        which lie above the rank threshold, so the root has full rank.
+        left = right = U, so its inverse(), U diag(1/sigma_1, ...,
+        1/sigma_r, 1/sigma_r, ...) U^H, factors nothing, and its operator
+        norm is 1 / sigma_r. The rank must be positive; every extended value
+        is then one of sigma_1..sigma_r, which lie above the rank threshold,
+        so the root has full rank.
         """
-        ext = self._ext_singulars()
+        ext = np.array(self.dec.singulars)
+        ext[self.rank :] = ext[self.rank - 1]
         return FactoredSequence(mat=self._spectral(ext), dec=Svd(self.dec.left, ext, self.dec.left), rank=self.dim)
-
-    def inv_sqrt_ext(self) -> np.ndarray:
-        """The inverse of sqrt_ext, U diag(1/sigma_1, ..., 1/sigma_r, 1/sigma_r, ...) U^H."""
-        return self._spectral(1.0 / self._ext_singulars())
-
-    def _ext_singulars(self) -> np.ndarray:
-        sv = np.array(self.dec.singulars)
-        sv[self.rank :] = sv[self.rank - 1]
-        return sv
 
     def _spectral(self, values: np.ndarray) -> np.ndarray:
         left = self.dec.left

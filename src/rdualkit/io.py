@@ -166,8 +166,8 @@ def certificate_from_payload(payload, tol: Tolerances) -> tuple[RDualCertificate
     if isinstance(residual, bool) or not isinstance(residual, (int, float)):
         raise ParseError("certificate residual must be a number")
     cert = RDualCertificate(
-        e_basis=OrthonormalBasis(VectorSeq(matrix_from_payload(payload["e_basis"])), tol=tol),
-        h_basis=OrthonormalBasis(VectorSeq(matrix_from_payload(payload["h_basis"])), tol=tol),
+        e_basis=OrthonormalBasis(matrix_from_payload(payload["e_basis"]), tol=tol),
+        h_basis=OrthonormalBasis(matrix_from_payload(payload["h_basis"]), tol=tol),
         fac_ext=frames.FactoredSequence.of(VectorSeq(matrix_from_payload(payload["s_omega_sqrt_ext"])), tol),
         residual=float(residual),
     )

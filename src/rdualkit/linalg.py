@@ -89,7 +89,6 @@ from .types import (
     OrthonormalBasis,
     Svd,
     Tolerances,
-    VectorSeq,
     as_operator,
     has_finite_moduli,
     is_hermitian,
@@ -256,7 +255,7 @@ def _sweeps(w: np.ndarray, n: int) -> None:
             aqq = np.vecdot(rq, rq)
             mod = np.abs(apq)
             root = np.sqrt(app * aqq)
-            sel = np.flatnonzero((mod > _PAIR_REL * root) & (np.minimum(app, aqq) >= _TINY))
+            sel = np.nonzero((mod > _PAIR_REL * root) & (np.minimum(app, aqq) >= _TINY))[0]
             if sel.size == 0:
                 continue
             rotated = True
@@ -473,7 +472,7 @@ def complete_to_onb(partial, dim: int | None = None, tol: Tolerances = DEFAULT_T
         if defect > tol.cert_rel:
             raise NotOrthonormal(f"partial Gram deviates from identity by {defect:.3e}")
     full = _complete_columns(cols)
-    return OrthonormalBasis(VectorSeq(full), tol=tol)
+    return OrthonormalBasis(full, tol=tol)
 
 
 def _complete_columns(cols: np.ndarray) -> np.ndarray:

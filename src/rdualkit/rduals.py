@@ -45,7 +45,7 @@ algorithm", SIAM J. Matrix Anal. Appl. 29(4), 2008).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QOperator:
     """An invertible operator whose norms fit inside given frame bounds.
 
@@ -94,7 +94,7 @@ class QOperator:
         return self.fac_q.mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RDualCertificate:
     """Witness that omega is the symmetrical type-III dual of some sequence.
 
@@ -113,8 +113,8 @@ class RDualCertificate:
     h_basis: OrthonormalBasis
     fac_ext: frames.FactoredSequence
     residual: float
-    fac_f: frames.FactoredSequence | None = field(default=None, compare=False)
-    budget: float | None = field(default=None, compare=False)
+    fac_f: frames.FactoredSequence | None = None
+    budget: float | None = None
 
     @property
     def s_omega_sqrt_ext(self) -> np.ndarray:
@@ -136,7 +136,7 @@ class RDualCertificate:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntiunitaryWitness:
     """Acts as x -> unitary_part @ conj(x): entrywise conjugation, then a unitary."""
 
@@ -149,7 +149,7 @@ class AntiunitaryWitness:
         return self.unitary_part @ np.conj(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairDecision:
     """Outcome of the type-I pair test with the verifying witnesses when true.
 
@@ -182,8 +182,8 @@ def _aligned_bases(
     fac_f: frames.FactoredSequence, fac_w: frames.FactoredSequence, tol: Tolerances
 ) -> tuple[OrthonormalBasis, OrthonormalBasis]:
     """e = U_f V_w^T and h = U_w V_f^T, which carry the Parsevalized f onto the Parsevalized omega."""
-    e_basis = OrthonormalBasis(VectorSeq(fac_f.dec.left @ fac_w.dec.right.T), tol=tol)
-    h_basis = OrthonormalBasis(VectorSeq(fac_w.dec.left @ fac_f.dec.right.T), tol=tol)
+    e_basis = OrthonormalBasis(fac_f.dec.left @ fac_w.dec.right.T, tol=tol)
+    h_basis = OrthonormalBasis(fac_w.dec.left @ fac_f.dec.right.T, tol=tol)
     return e_basis, h_basis
 
 
@@ -359,9 +359,10 @@ def coefficient_identity_check(
 ) -> float:
     """Largest deviation between the two coefficient readings of the dual relation.
 
-    Compares <inv_sqrt_ext omega_j, h_i> against <parsevalized f_i, e_j> over
-    all index pairs; valid certificates keep this at roundoff level. f and
-    the root are factored as in gamma_sequence.
+    Compares <E^-1 omega_j, h_i>, for E the certificate's extended root,
+    against <parsevalized f_i, e_j> over all index pairs; valid certificates
+    keep this at roundoff level. f and the root are factored as in
+    gamma_sequence.
     """
     _require_same_dim(f.dim, omega.dim, cert.e_basis.dim)
     ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_root, tol), tol)

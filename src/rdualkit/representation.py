@@ -20,9 +20,11 @@ x_k = H^* S^{1/2} h_k, the k-th column of X = H^* S^{1/2} H. Hence
 Lambda_k = S^{-1/2} H C(x_k) H^*, where the circulant C(x) has entries
 C(x)[i, j] = x[(i - j) mod n]: the family needs X and no power of U.
 
-The extended square root, its inverse and the span of omega are closed
-forms in one SVD of omega (frames.FactoredSequence), so building the shift
-family costs one factorization and the coefficients reuse it. The 2n + 1
+The extended square root and the span of omega are closed forms in one
+SVD of omega (frames.FactoredSequence.sqrt_ext), and the root carries that
+SVD, so its inverse() factors nothing: building the shift family costs one
+factorization, and the coefficients Parsevalize f from its own SVD.
+lambda_family returns the Lambda_k as one (n, n, n) stack. The 2n + 1
 operator norms that represent_inv_sqrt reports take one linalg.operator_norm
 call on one stack of the Lambda_k, the c-family error and the a-family
 prefix errors. Each norm is its matrix's own: it brackets sigma_max by
@@ -44,10 +46,11 @@ from .types import (
     Tolerances,
     VectorSeq,
     as_operator,
+    has_finite_moduli,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftFamily:
     """Cyclic shift plus the extended square roots that conjugate it.
 
@@ -55,9 +58,10 @@ class ShiftFamily:
     lambda_family builds its Lambda_k from the circulant form in the module
     docstring, so no V_j is stored. span holds orthonormal columns spanning
     the numerical range of omega, from the same factorization, and source
-    is the synthesis matrix of that omega. inv_sqrt_norm is the operator
-    norm of s_inv_sqrt_ext, 1 / sigma_r for the smallest singular value
-    sigma_r of omega above the rank threshold.
+    is the synthesis matrix of that omega. sqrt_norm and inv_sqrt_norm are
+    the operator norms of s_sqrt_ext and s_inv_sqrt_ext: sigma_1 and
+    1 / sigma_r for the largest singular value of omega and the smallest
+    above the rank threshold.
     """
 
     u: np.ndarray
@@ -65,6 +69,7 @@ class ShiftFamily:
     s_inv_sqrt_ext: np.ndarray
     span: np.ndarray
     source: np.ndarray
+    sqrt_norm: float
     inv_sqrt_norm: float
 
     def __post_init__(self):
@@ -77,11 +82,11 @@ class ShiftFamily:
         return self.u.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientReport:
     """The three coefficient families of the representation.
 
-    a[i] = <inv_sqrt_ext h_0, h_i>, c[i] = <g_i, g_0> for the Parsevalized
+    a[i] = <s_inv_sqrt_ext h_0, h_i>, c[i] = <g_i, g_0> for the Parsevalized
     source sequence g, and p[i] = <P h_0, h_i> for the orthogonal projection
     P onto the span of omega. l1 values are the sums of moduli.
     """
@@ -93,15 +98,18 @@ class CoefficientReport:
     l1_c: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentationReport:
     """Assembled sums, their errors, and the exact finite tail table.
 
     errors are operator-norm distances to the inverse extended square root.
     tail_table rows are (prefix_size, partial_error, tail_bound) where the
     bound is the excluded l1 mass of the a-family times sqrt(bessel_sup).
-    budget is what error_a and every prefix were gated on. modulus_gap
-    records max_i ||a_i| - |c_i|| and carries no assertion.
+    error_a was gated on budget + roundoff: budget is cert_rel times the
+    target's norm, and roundoff is 3 n eps kappa times it, what forming the
+    sum costs, for the condition number kappa of omega. Prefix m was gated
+    on its tail bound, the budget and m / n of roundoff. modulus_gap records
+    max_i ||a_i| - |c_i|| and carries no assertion.
     """
 
     operator_a: np.ndarray
@@ -109,6 +117,7 @@ class RepresentationReport:
     error_a: float
     error_c: float
     budget: float
+    roundoff: float
     bessel_sup: float
     tail_table: tuple[tuple[int, float, float], ...]
     modulus_gap: float
@@ -130,21 +139,24 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances = 
     fac = frames.FactoredSequence.of(omega, tol)
     if fac.rank == 0:
         raise ZeroSequence("the sequence spans nothing; no shift family exists")
+    ext = fac.sqrt_ext()
     return ShiftFamily(
         u=np.roll(h.mat, -1, axis=1) @ h.mat.conj().T,
-        s_sqrt_ext=fac.sqrt_ext().mat,
-        s_inv_sqrt_ext=fac.inv_sqrt_ext(),
+        s_sqrt_ext=ext.mat,
+        s_inv_sqrt_ext=ext.inverse(),
         span=fac.span,
         source=omega.mat,
-        inv_sqrt_norm=float(1.0 / fac.dec.singulars[fac.rank - 1]),
+        sqrt_norm=float(ext.dec.singulars[0]),
+        inv_sqrt_norm=float(1.0 / ext.dec.singulars[-1]),
     )
 
 
-def lambda_family(fam: ShiftFamily, h: OrthonormalBasis) -> list[np.ndarray]:
-    """The operators Lambda_k with Lambda_k(g) = sum_j <g, h_j> V_j(h_k).
+def lambda_family(fam: ShiftFamily, h: OrthonormalBasis) -> np.ndarray:
+    """The operators Lambda_k with Lambda_k(g) = sum_j <g, h_j> V_j(h_k), as one read-only (n, n, n) stack.
 
     Built in the circulant form of the module docstring: one gather of
     X = H^* S^{1/2} H into the stack of C(x_k), then one broadcast product.
+    Entry k of the stack is Lambda_k.
     """
     if fam.dim != h.dim:
         raise DimensionMismatch(f"dimensions differ: {fam.dim} vs {h.dim}")
@@ -154,7 +166,9 @@ def lambda_family(fam: ShiftFamily, h: OrthonormalBasis) -> list[np.ndarray]:
     # circulants[k, i, j] = x[(i - j) mod n, k]
     shifts = (np.arange(n)[:, None] - np.arange(n)) % n
     circulants = x.T[:, shifts]
-    return list((fam.s_inv_sqrt_ext @ h.mat) @ circulants @ analysis)
+    lams = (fam.s_inv_sqrt_ext @ h.mat) @ circulants @ analysis
+    lams.setflags(write=False)
+    return lams
 
 
 def coefficients(
@@ -176,7 +190,7 @@ def coefficients(
         )
     if not np.array_equal(omega.mat, fam.source):
         raise CertificationFailed("omega is not the sequence the shift family was built from")
-    # the zero test reads f's rank, and parsevalize reuses the same SVD
+    # the zero test reads f's rank, and the Parsevalization reuses the same SVD
     f = frames.FactoredSequence.of(f, tol)
     if f.rank == 0:
         raise ZeroSequence("the source sequence is zero; its coefficients vanish")
@@ -184,8 +198,8 @@ def coefficients(
     analysis = h.mat.conj().T
     a = analysis @ (fam.s_inv_sqrt_ext @ h0)
 
-    g = frames.parsevalize(f, tol)
-    c = frames.gram(g)[0]
+    g = f.parseval()
+    c = (g.conj().T @ g)[0]
 
     p = analysis @ (fam.span @ (fam.span.conj().T @ h0))
     return CoefficientReport(
@@ -208,43 +222,51 @@ def bessel_bound_of_family(vectors: VectorSeq) -> float:
 
 def represent_inv_sqrt(
     fam: ShiftFamily,
-    lambdas: list[np.ndarray],
+    lambdas: np.ndarray,
     coeffs: CoefficientReport,
     tol: Tolerances = DEFAULT_TOL,
 ) -> RepresentationReport:
     """Sum both coefficient families against the lambdas and measure the errors.
 
-    The a-family sum must land on the inverse extended square root within the
-    certification budget, and every prefix of it must respect the tail bound
-    (excluded l1 mass times sqrt of the Bessel supremum) within that budget;
-    violations mean the inputs were not built from one another and raise.
-    The budget is cert_rel times the norm of the target, fam.inv_sqrt_norm:
-    the a_k and the target scale as 1 / sigma_r of omega while the Lambda_k
-    do not scale, so the roundoff in each sum scales as the target does,
-    and the gates hold at every scale of omega. The c-family sum is
-    measured only. All 2n + 1 operator norms come from one stack filled in
-    place and one linalg.operator_norm call. Each is bit for bit the norm of
-    its matrix taken alone and lies within a few n eps of sigma_max, far
-    inside the budget.
+    lambdas is the (n, n, n) stack lambda_family returns, or anything
+    np.asarray turns into one, such as a list of n matrices; another shape,
+    a ragged list included, raises DimensionMismatch. The a-family sum must
+    land on the inverse extended square root within its gate, and every
+    prefix of it must respect the tail bound (excluded l1 mass times sqrt
+    of the Bessel supremum) within its own; violations mean the inputs were
+    not built from one another and raise.
+
+    Each gate adds two terms. The budget is cert_rel times the norm of the
+    target, fam.inv_sqrt_norm: the a_k and the target scale as 1 / sigma_r
+    of omega while the Lambda_k do not, so it holds at every scale. The
+    roundoff term is what forming the sum costs, and it grows with the
+    condition number kappa = sigma_1 / sigma_r of omega where the budget
+    does not. |a_k| is at most the target's norm and ||Lambda_k|| is of
+    order kappa, so each term a_k Lambda_k brings three roundings of order
+    eps kappa fam.inv_sqrt_norm, in a_k, in Lambda_k and in adding the
+    product; prefix m takes 3 m of them. A weight eps |a_k| ||Lambda_k||
+    per term falls short: a_k, an entry of H^* S^{-1/2} h_0, carries
+    roundoff of order eps times the target's norm however small it is.
+    The c-family sum is measured only. Each of the 2n + 1 norms, all from
+    one operator_norm call, is bit for bit the norm of its matrix alone.
     """
     n = fam.dim
-    if len(lambdas) != n or len(coeffs.a) != n:
-        raise DimensionMismatch(
-            f"expected {n} operators and coefficients, got {len(lambdas)} and {len(coeffs.a)}"
-        )
+    try:
+        lams = np.asarray(lambdas, dtype=np.complex128)
+    except ValueError as exc:
+        raise DimensionMismatch(f"the Lambda_k do not form one stack: {exc}") from exc
+    if lams.shape != (n, n, n) or len(coeffs.a) != n:
+        raise DimensionMismatch(f"expected a {(n, n, n)} stack and {n} coefficients, got {lams.shape}, {len(coeffs.a)}")
+    if not has_finite_moduli(lams):
+        raise ValueError("Lambda entries must be finite")
     target = fam.s_inv_sqrt_ext
 
     # the 2n + 1 operator norms take one call, on one stack filled in place:
     # the n Lambda_k, the c-family sum minus the target, then the n prefixes
     # of the a-family sum minus the target (prefix m sums the first m terms)
     stack = np.empty((2 * n + 1, n, n), dtype=np.complex128)
+    stack[:n] = lams
     lams, partials = stack[:n], stack[n + 1 :]
-    for k, lam in enumerate(lambdas):
-        lam = as_operator(lam)
-        # assignment would broadcast a smaller Lambda over the whole slot
-        if lam.shape != (n, n):
-            raise DimensionMismatch(f"Lambda_{k} has shape {lam.shape}, expected {(n, n)}")
-        lams[k] = lam
     operator_c = sum(ci * lam for ci, lam in zip(coeffs.c, lams))
     np.subtract(operator_c, target, out=stack[n])
     np.multiply(coeffs.a[:, None, None], lams, out=partials)
@@ -259,26 +281,30 @@ def represent_inv_sqrt(
 
     budget = tol.cert_rel * fam.inv_sqrt_norm
     abs_a = np.abs(coeffs.a)
+    kappa = fam.sqrt_norm * fam.inv_sqrt_norm
+    term_roundoff = 3.0 * np.finfo(np.float64).eps * kappa * fam.inv_sqrt_norm
     rows = []
     for m in range(1, n + 1):
         partial_error = float(partial_errors[m - 1])
         tail_bound = float(np.sum(abs_a[m:]) * np.sqrt(bessel_sup))
-        if partial_error > tail_bound + budget:
+        if partial_error > tail_bound + budget + m * term_roundoff:
             raise CertificationFailed(
                 f"prefix {m} misses its tail bound: {partial_error:.3e} > {tail_bound:.3e}"
             )
         rows.append((m, partial_error, tail_bound))
     error_a = rows[-1][1]
-    if error_a > budget:
-        raise CertificationFailed(f"representation error {error_a:.3e} exceeds {budget:.3e}")
+    roundoff = float(n * term_roundoff)
+    if error_a > budget + roundoff:
+        raise CertificationFailed(f"representation error {error_a:.3e} exceeds {budget + roundoff:.3e}")
 
-    modulus_gap = float(np.max(np.abs(np.abs(coeffs.a) - np.abs(coeffs.c))))
+    modulus_gap = float(np.max(np.abs(abs_a - np.abs(coeffs.c))))
     return RepresentationReport(
         operator_a=operator_a,
         operator_c=operator_c,
         error_a=float(error_a),
         error_c=float(error_c),
         budget=budget,
+        roundoff=roundoff,
         bessel_sup=bessel_sup,
         tail_table=tuple(rows),
         modulus_gap=modulus_gap,

@@ -6,12 +6,16 @@ Conventions used everywhere in this package:
   linear in the first argument;
 * a sequence of n vectors in C^n is stored as the n x n matrix whose column i
   is the i-th vector, so the synthesis operator and the matrix coincide;
-* all values are immutable; arrays are copied in and marked read-only.
+* all values are immutable; arrays are copied in and marked read-only;
+* a value that holds arrays compares and hashes by identity, since == on
+  arrays has no single truth value; Tolerances, FrameBounds and
+  Classification compare by value;
+* an orthonormal basis is a sequence, OrthonormalBasis a VectorSeq.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +119,7 @@ def singular_gap(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[float, 
     return gap, tol.cert_rel * max(float(a[0]), float(b[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSeq:
     """An ordered list of exactly n vectors in C^n, kept as matrix columns."""
 
@@ -143,30 +147,19 @@ class VectorSeq:
         return self.mat.shape[1]
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """A VectorSeq certified orthonormal at construction time."""
+@dataclass(frozen=True, eq=False)
+class OrthonormalBasis(VectorSeq):
+    """A VectorSeq certified orthonormal at construction time; mat may be a matrix or a VectorSeq."""
 
-    base: VectorSeq
-    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
+    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        m = self.base.mat
-        g = m.conj().T @ m
-        defect = np.linalg.norm(g - np.eye(self.base.dim))
+        if isinstance(self.mat, VectorSeq):
+            object.__setattr__(self, "mat", self.mat.mat)
+        super().__post_init__()
+        defect = np.linalg.norm(self.mat.conj().T @ self.mat - np.eye(self.dim))
         if defect > self.tol.cert_rel:
             raise NotOrthonormal(f"Gram deviates from identity by {defect:.3e}")
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.base.mat
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def vector(self, i: int) -> np.ndarray:
-        return self.base.vector(i)
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,7 @@ class Classification:
             raise ValueError("bounds are absent exactly for zero sequences")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Hermitian spectral data: eigenvalues ascending, orthonormal eigenvector columns."""
 
@@ -208,7 +201,7 @@ class EigenDecomposition:
         object.__setattr__(self, "vectors", _freeze(self.vectors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Svd:
     """a = left @ diag(singulars) @ right^H with singulars descending.
 
@@ -232,7 +225,7 @@ class Svd:
         object.__setattr__(self, "right", _freeze(self.right))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceOperator:
     """An invertible operator on a k-dimensional subspace V of C^n.
 
@@ -245,7 +238,7 @@ class SubspaceOperator:
     ambient_dim: int
     v_basis: np.ndarray
     action: VectorSeq
-    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
+    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         vb = np.array(self.v_basis, dtype=np.complex128, copy=True)

@@ -267,19 +267,26 @@ def test_represent_desk_pair(desk):
 
 
 def test_represent_scales_with_the_input(tmp_path):
-    # the error_a budget is cert_rel times the norm of the target, which
-    # scales as 1 / c: an absolute budget made represent fail at c = 1e-6
+    # the error_a gate is the budget, cert_rel times the norm of the target,
+    # plus the roundoff of forming the sum; both scale as 1 / c: an absolute
+    # budget made represent fail at c = 1e-6
     f = generators.generate_sequence(8, "spectrum", np.geomspace(2.0, 0.5, 8), seed=4)
     e = OrthonormalBasis(generators.generate_sequence(8, "onb", seed=5))
     h = OrthonormalBasis(generators.generate_sequence(8, "onb", seed=6))
     omega = rduals.rdual_type_I(f, e, h).mat
+    unit = None
     for c in (1e-8, 1e-6, 1.0, 1e8):
         paths = [seq_file(tmp_path, name, c * mat) for name, mat in (("f", f.mat), ("w", omega))]
         report = cli.run(["represent", *paths])
         assert report.verdict == "measured", c
         (entry,) = [r for r in report.residuals if r["name"] == "error_a"]
         assert 0.0 < entry["value"] <= entry["tolerance"], c
-        assert entry["tolerance"] == pytest.approx(1e-9 * 2.0 / c, rel=1e-12), c
+        roundoff = report.results["roundoff"]
+        assert entry["tolerance"] == pytest.approx(1e-9 * 2.0 / c + roundoff, rel=1e-12), c
+        # the roundoff term is a small share of the gate at this condition number
+        assert 0.0 < roundoff <= 1e-4 * entry["tolerance"], c
+        unit = roundoff * c if unit is None else unit
+        assert roundoff * c == pytest.approx(unit, rel=1e-10), c
 
 
 def test_represent_h0_rotation(desk):
@@ -517,18 +524,19 @@ def test_tolerance_flags_reach_report(desk):
     assert report.tolerances.cert_rel == 1e-7
 
 
-@pytest.mark.parametrize("budget, check", [("_ONB_DEFECT", "gram_defect"), ("condition", "inverse_product")])
+@pytest.mark.parametrize("budget, check", [("exact_rel", "gram_defect"), ("condition", "inverse_product")])
 def test_scale_free_gates_read_their_budget(tmp_path, budget, check):
-    # generate's Gram defect is gated by a named module budget, not by a
-    # literal at the call site; extend's inverse product by exact_rel times the
-    # action's condition number sigma_1/sigma_k, since its roundoff grows as eps times that
+    # generate's Gram defect is gated by exact_rel, since a basis orthonormalized
+    # by two passes of Gram-Schmidt is orthonormal to machine precision; extend's
+    # inverse product by exact_rel times the action's condition number
+    # sigma_1/sigma_k, since its roundoff grows as eps times that
     rng = np.random.default_rng(61)
     action = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     sv = np.linalg.svd(action, compute_uv=False)
     phi = seq_file(tmp_path, "phi.json", action)
     vbasis = seq_file(tmp_path, "vb.json", generators.random_onb(5, np.random.default_rng(62))[:, :3])
     argv, tolerance = {
-        "_ONB_DEFECT": (["generate", "--n", "8", "--kind", "onb", "--seed", "3"], cli._ONB_DEFECT),
+        "exact_rel": (["generate", "--n", "8", "--kind", "onb", "--seed", "3"], DEFAULT_TOL.exact_rel),
         "condition": (["extend", "--phi", phi, "--vbasis", vbasis], DEFAULT_TOL.exact_rel * sv[0] / sv[-1]),
     }[budget]
     report = cli.run(argv)

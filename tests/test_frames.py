@@ -275,3 +275,21 @@ def test_factored_inverse():
     assert np.linalg.norm(fac.inverse() @ s.mat - np.eye(5)) <= 1e-12
     with pytest.raises(SingularAction):
         frames.FactoredSequence.of(rand_seq(rng, 5, rank=4), DEFAULT_TOL).inverse()
+
+
+def test_sqrt_ext_inverse_is_the_reciprocal_spectral_form(engine_passes):
+    # the extended root comes with its spectral SVD, so inverse() factors
+    # nothing and is U diag(1/ext) U^H bit for bit, at full rank and below
+    rng = np.random.default_rng(52)
+    for rank in (5, 3, 1):
+        fac = frames.FactoredSequence.of(rand_seq(rng, 5, rank), DEFAULT_TOL)
+        ext = fac.sqrt_ext()
+        sv = np.array(fac.dec.singulars)
+        sv[rank:] = sv[rank - 1]
+        u = fac.dec.left
+        assert ext.rank == 5 and _same_bits(ext.dec.singulars, sv)
+        engine_passes.clear()
+        inv = ext.inverse()
+        assert engine_passes == []
+        assert _same_bits(inv, (u * (1.0 / sv)) @ u.conj().T), rank
+        assert np.linalg.norm(inv @ ext.mat - np.eye(5)) <= 1e-13 * sv[0] / sv[-1]

@@ -312,8 +312,29 @@ def test_represent_rejects_mismatched_lengths():
     _, fam, lams, co = desk_setup()
     with pytest.raises(DimensionMismatch):
         representation.represent_inv_sqrt(fam, lams[:1], co)
+    # a ragged list is no stack
     with pytest.raises(DimensionMismatch):
         representation.represent_inv_sqrt(fam, [np.eye(1)] + list(lams[1:]), co)
+    with pytest.raises(DimensionMismatch):
+        representation.represent_inv_sqrt(fam, np.ones((2, 2, 3)), co)
+    with pytest.raises(ValueError, match="finite"):
+        representation.represent_inv_sqrt(fam, [np.full((2, 2), np.inf), lams[1]], co)
+
+
+def test_lambda_family_is_one_read_only_stack():
+    rng = np.random.default_rng(406)
+    h = onb(rng, 5)
+    w, f = (seq_with_sv(rng, 5, rng.uniform(0.4, 2.0, size=5)) for _ in range(2))
+    fam = representation.build_shift_family(w, h)
+    lams = representation.lambda_family(fam, h)
+    assert isinstance(lams, np.ndarray) and lams.shape == (5, 5, 5)
+    assert not lams.flags.writeable
+    co = representation.coefficients(f, w, h, fam)
+    stacked = representation.represent_inv_sqrt(fam, lams, co)
+    # a list of the n matrices is the same stack, so the report is bit for bit the same
+    listed = representation.represent_inv_sqrt(fam, list(lams), co)
+    assert (listed.error_a, listed.error_c, listed.tail_table) == (stacked.error_a, stacked.error_c, stacked.tail_table)
+    assert np.array_equal(listed.operator_a, stacked.operator_a)
 
 
 def _scaled_pair(c):
@@ -357,3 +378,42 @@ def test_represent_gate_rejects_a_wrong_sum_at_every_scale():
         off = representation.CoefficientReport(a=a, c=co.c, p=co.p, l1_a=co.l1_a, l1_c=co.l1_c)
         with pytest.raises(CertificationFailed):
             representation.represent_inv_sqrt(fam, representation.lambda_family(fam, h), off)
+
+
+def test_represent_gate_rejects_perturbed_coefficients_at_every_condition():
+    # per condition number kappa of omega, the smallest relative perturbation
+    # a_k (1 + delta z_k), |z_k| = 1, on a half-decade grid that the gates
+    # reject, next to the smallest the gates without the roundoff term reject
+    # (read off the report whenever the gates pass). The roundoff term only
+    # matters where kappa eps nears cert_rel: below, the two agree; above,
+    # the gate without it failed the genuine pair itself, at delta = 0
+    n = 6
+    e, h = (OrthonormalBasis(generators.generate_sequence(n, "onb", seed=seed)) for seed in (5, 6))
+    z = np.exp(2j * np.pi * np.random.default_rng(7).random(n))
+    deltas = 10.0 ** np.arange(-15.0, 0.25, 0.5)
+    table = {}
+    for kappa in (1e2, 1e4, 1e6, 1e8):
+        f = generators.generate_sequence(n, "spectrum", np.geomspace(1.0, 1.0 / kappa, n), seed=4)
+        omega = rduals.rdual_type_I(f, e, h)
+        fam = representation.build_shift_family(omega, h)
+        lams = representation.lambda_family(fam, h)
+        co = representation.coefficients(f, omega, h, fam)
+        genuine = representation.represent_inv_sqrt(fam, lams, co)
+        assert genuine.roundoff == pytest.approx(3 * n * np.finfo(float).eps * kappa * fam.inv_sqrt_norm, rel=1e-6)
+        rejected, rejected_without = [], []
+        for delta in deltas:
+            a = co.a * (1.0 + delta * z)
+            off = representation.CoefficientReport(a=a, c=co.c, p=co.p, l1_a=co.l1_a, l1_c=co.l1_c)
+            try:
+                report = representation.represent_inv_sqrt(fam, lams, off)
+            except CertificationFailed:
+                rejected.append(delta)
+                rejected_without.append(delta)
+                continue
+            if report.error_a > report.budget or any(pe > tb + report.budget for _, pe, tb in report.tail_table):
+                rejected_without.append(delta)
+        table[kappa] = (min(rejected), min(rejected_without))
+    # at kappa = 1e2 the gate rejects what it rejected without the roundoff term
+    assert table[1e2][0] == table[1e2][1]
+    # and at every kappa it still rejects a 1e-9 relative error in the a-family
+    assert all(smallest <= 1e-9 for smallest, _ in table.values()), table
