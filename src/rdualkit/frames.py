@@ -15,6 +15,10 @@ factored yet in one stacked engine call; linalg.svd gives each matrix of a
 stack the factors of a call on it alone, so this saves calls and changes no
 bit. FactoredSequence.of is its one-element case, and the only path from
 this module to the engine.
+Inputs of one dimension are types.require_same_dim's test. The closed
+forms that need rank >= 1, bounds, parseval, sqrt_ext and canonical_dual,
+raise ZeroSequence at rank 0, as inverse raises SingularAction short of
+full rank, so no caller tests the rank first.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BoundsOutOfRange, DimensionMismatch, SingularAction, ZeroSequence
+from .errors import BoundsOutOfRange, SingularAction, ZeroSequence
 from .types import (
     DEFAULT_TOL,
     Classification,
@@ -36,6 +40,7 @@ from .types import (
     Tolerances,
     VectorSeq,
     ZERO_SEQUENCE,
+    require_same_dim,
 )
 
 # sigma^2 is a normal float exactly when sigma lies in [_SQRT_TINY, _SQRT_MAX]; the squares of
@@ -56,8 +61,7 @@ def gram(s: VectorSeq) -> np.ndarray:
 
 def cross_gram(f: VectorSeq, g: VectorSeq) -> np.ndarray:
     """Matrix with entry (i, j) = <f_i, g_j>."""
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"dimensions differ: {f.dim} vs {g.dim}")
+    require_same_dim(f.dim, g.dim)
     return f.mat.T @ g.mat.conj()
 
 
@@ -90,9 +94,7 @@ class FactoredSequence(VectorSeq):
         sequences must share one dimension; DimensionMismatch is raised
         before anything is factored.
         """
-        dims = tuple(s.dim for s in seqs)
-        if len(set(dims)) > 1:
-            raise DimensionMismatch(f"dimensions differ: {dims}")
+        require_same_dim(*(s.dim for s in seqs))
         todo = [s.mat for s in seqs if not isinstance(s, FactoredSequence)]
         fresh = iter(())
         if todo:
@@ -115,11 +117,18 @@ class FactoredSequence(VectorSeq):
         return self.dec.singulars**2
 
     def bounds(self) -> FrameBounds:
-        """Optimal bounds sigma_r^2 and sigma_1^2; the rank must be positive. Raises as _check_squares."""
+        """Optimal bounds sigma_r^2 and sigma_1^2; raises ZeroSequence at rank 0, then as _check_squares."""
+        r = self._nonzero_rank("frame bounds")
         self._check_squares()
         sv = self.dec.singulars
         # scalar squares: numpy's array square, as in spectrum, can differ from them in the last bit
-        return FrameBounds(lower=float(sv[self.rank - 1] ** 2), upper=float(sv[0] ** 2))
+        return FrameBounds(lower=float(sv[r - 1] ** 2), upper=float(sv[0] ** 2))
+
+    def _nonzero_rank(self, what: str) -> int:
+        """The rank, or ZeroSequence when it is 0; what names the value a zero sequence lacks."""
+        if self.rank == 0:
+            raise ZeroSequence(f"a zero sequence has no {what}")
+        return self.rank
 
     def _check_squares(self) -> None:
         """Raise BoundsOutOfRange unless sigma_1^2 and, at positive rank, sigma_r^2 are normal floats."""
@@ -128,13 +137,9 @@ class FactoredSequence(VectorSeq):
             raise BoundsOutOfRange(f"sigma^2 out of float range: sigma_1 {sv[0]:.3e}, sigma_r {sv[self.rank - 1]:.3e}")
 
     def parseval(self) -> np.ndarray:
-        """S^(+1/2) T = U_r V_r^H."""
-        return self.span @ self.dec.right[:, : self.rank].conj().T
-
-    def canonical_dual(self) -> np.ndarray:
-        """S^+ T = U_r diag(1/sigma_r) V_r^H."""
-        r = self.rank
-        return (self.span / self.dec.singulars[:r]) @ self.dec.right[:, :r].conj().T
+        """S^(+1/2) T = U_r V_r^H; raises ZeroSequence at rank 0."""
+        r = self._nonzero_rank("Parsevalization")
+        return self.span @ self.dec.right[:, :r].conj().T
 
     def inverse(self) -> np.ndarray:
         """T^-1 = V diag(1/sigma) U^H; raises SingularAction when the rank falls short of the dimension."""
@@ -154,12 +159,13 @@ class FactoredSequence(VectorSeq):
         restricted action. It comes with that spectral form as its SVD,
         left = right = U, so its inverse(), U diag(1/sigma_1, ...,
         1/sigma_r, 1/sigma_r, ...) U^H, factors nothing, and its operator
-        norm is 1 / sigma_r. The rank must be positive; every extended value
-        is then one of sigma_1..sigma_r, which lie above the rank threshold,
-        so the root has full rank.
+        norm is 1 / sigma_r. It raises ZeroSequence at rank 0; at positive
+        rank every extended value is one of sigma_1..sigma_r, which lie above
+        the rank threshold, so the root has full rank.
         """
+        r = self._nonzero_rank("extended square root")
         ext = np.array(self.dec.singulars)
-        ext[self.rank :] = ext[self.rank - 1]
+        ext[r:] = ext[r - 1]
         return FactoredSequence(mat=self._spectral(ext), dec=Svd(self.dec.left, ext, self.dec.left), rank=self.dim)
 
     def _spectral(self, values: np.ndarray) -> np.ndarray:
@@ -169,10 +175,7 @@ class FactoredSequence(VectorSeq):
 
 def optimal_bounds(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> FrameBounds:
     """Extreme nonzero eigenvalues of the frame operator, as (lower, upper)."""
-    fac = FactoredSequence.of(s, tol)
-    if fac.rank == 0:
-        raise ZeroSequence("a zero sequence has no frame bounds")
-    return fac.bounds()
+    return FactoredSequence.of(s, tol).bounds()
 
 
 def classify(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> Classification:
@@ -187,12 +190,12 @@ def classify(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> Classification:
 def canonical_dual(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
     """The sequence of pseudo-inverse images of the vectors under the frame operator.
 
-    On span(s) this reproduces every vector from its frame coefficients.
+    On span(s) this reproduces every vector from its frame coefficients. It
+    is S^+ T = U_r diag(1/sigma_r) V_r^H, from the one SVD of s.
     """
     fac = FactoredSequence.of(s, tol)
-    if fac.rank == 0:
-        raise ZeroSequence("the zero sequence has no canonical dual")
-    return VectorSeq(fac.canonical_dual())
+    r = fac._nonzero_rank("canonical dual")
+    return VectorSeq((fac.span / fac.dec.singulars[:r]) @ fac.dec.right[:, :r].conj().T)
 
 
 def parsevalize(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
@@ -201,16 +204,12 @@ def parsevalize(s: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
     The result is a Parseval frame for span(s): its frame operator is the
     orthogonal projection onto the span.
     """
-    fac = FactoredSequence.of(s, tol)
-    if fac.rank == 0:
-        raise ZeroSequence("the zero sequence cannot be normalized")
-    return VectorSeq(fac.parseval())
+    return VectorSeq(FactoredSequence.of(s, tol).parseval())
 
 
 def verify_dual_pair(f: VectorSeq, g: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when both mixed synthesis identities reproduce the identity operator."""
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"dimensions differ: {f.dim} vs {g.dim}")
+    require_same_dim(f.dim, g.dim)
     eye = np.eye(f.dim)
     first = np.linalg.norm(g.mat @ f.mat.conj().T - eye)
     second = np.linalg.norm(f.mat @ g.mat.conj().T - eye)

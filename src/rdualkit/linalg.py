@@ -82,7 +82,7 @@ import functools
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotOrthonormal, NotPsd, ShapeError, SingularAction
+from .errors import NoConvergence, NotHermitian, NotPsd, ShapeError, SingularAction
 from .types import (
     DEFAULT_TOL,
     EigenDecomposition,
@@ -92,6 +92,7 @@ from .types import (
     as_operator,
     has_finite_moduli,
     is_hermitian,
+    require_orthonormal,
 )
 
 _SWEEP_CAP = 30
@@ -467,12 +468,8 @@ def complete_to_onb(partial, dim: int | None = None, tol: Tolerances = DEFAULT_T
         raise ShapeError(f"vectors have length {n} but dim={dim} was requested")
     if k > n:
         raise ShapeError(f"cannot fit {k} orthonormal vectors in dimension {n}")
-    if k > 0:
-        defect = np.linalg.norm(cols.conj().T @ cols - np.eye(k))
-        if defect > tol.cert_rel:
-            raise NotOrthonormal(f"partial Gram deviates from identity by {defect:.3e}")
-    full = _complete_columns(cols)
-    return OrthonormalBasis(full, tol=tol)
+    require_orthonormal(cols, tol, "partial")
+    return OrthonormalBasis(_complete_columns(cols), tol=tol)
 
 
 def _complete_columns(cols: np.ndarray) -> np.ndarray:
@@ -489,12 +486,11 @@ def _complete_columns(cols: np.ndarray) -> np.ndarray:
     eye = np.eye(n, dtype=np.complex128)
     while m < n:
         active = q[:, :m]
-        resid = eye - active @ (active.conj().T) if m else eye.copy()
+        resid = eye - active @ (active.conj().T)
         lengths = np.sqrt(np.real(np.einsum("ij,ij->j", resid.conj(), resid)))
         j = int(np.argmax(lengths))
         r = resid[:, j]
-        if m:
-            r = r - active @ (active.conj().T @ r)
+        r = r - active @ (active.conj().T @ r)
         q[:, m] = r / np.linalg.norm(r)
         m += 1
     return q

@@ -15,7 +15,11 @@ gamma_sequence the same with the inverse extended root as Q, and both
 recoveries the root of S_f times the map of Q^-1 omega under (h, e).
 certify_symmetrical_pair reproduces omega by rdual_type_III with Q the
 extended root, decide_type_I_pair by rdual_type_I, and both recoveries
-check that the root of S_f is Hermitian.
+run one body, _recover, which checks that the root of S_f is Hermitian
+before Q is inverted. Each other precondition is checked in its one home:
+equal dimensions by types.require_same_dim, orthonormal bases by
+OrthonormalBasis, and a nonzero f or omega by the FactoredSequence bounds
+and Parsevalization these operations read, which raise ZeroSequence.
 
 Each operation factors every input sequence once (frames.FactoredSequence)
 and builds the bases, the extended square root and the pair witness from
@@ -53,20 +57,17 @@ from . import frames, linalg
 from .errors import (
     BoundsMismatch,
     CertificationFailed,
-    DimensionMismatch,
     NotHermitian,
     QInverseTooLarge,
     QSingular,
     QTooLarge,
     RankMismatch,
     SingularAction,
-    ZeroSequence,
 )
 from .types import (
     DEFAULT_TOL,
     FrameBounds,
     OrthonormalBasis,
-    RIESZ_BASIS,
     Svd,
     Tolerances,
     VectorSeq,
@@ -74,6 +75,7 @@ from .types import (
     frobenius_norm,
     is_hermitian,
     pow2_exponent,
+    require_same_dim,
     singular_gap,
 )
 
@@ -167,11 +169,6 @@ class PairDecision:
     conjugation_residual: float | None
 
 
-def _require_same_dim(*dims: int):
-    if len(set(dims)) != 1:
-        raise DimensionMismatch(f"dimensions differ: {dims}")
-
-
 def _bounds_close(a: FrameBounds, b: FrameBounds, tol: Tolerances) -> bool:
     # the bounds are sigma_r^2 and sigma_1^2, so singular_gap compares their square roots
     gap, budget = singular_gap(np.sqrt([a.upper, a.lower]), np.sqrt([b.upper, b.lower]), tol)
@@ -193,7 +190,7 @@ def rdual_type_I(f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis) -> Vect
     This is h (e^H f)^T, the one place the package forms it. The map under
     (h, e) undoes the map under (e, h): e (h^H h (e^H f)^T)^T = e e^H f = f.
     """
-    _require_same_dim(f.dim, e.dim, h.dim)
+    require_same_dim(f.dim, e.dim, h.dim)
     coeff = e.mat.conj().T @ f.mat
     return VectorSeq(h.mat @ coeff.T)
 
@@ -207,11 +204,9 @@ def validate_q(q, f: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> QOperator:
     from the SVD of f (frames.FactoredSequence), at its rank threshold. Q
     is a matrix or a sequence; f and Q are factored in one stacked call,
     which reuses the SVD of either when it comes in factored, and must share
-    one dimension.
+    one dimension. A zero f raises ZeroSequence, from its bounds.
     """
     fac, fac_q = frames.FactoredSequence.of_all((f, q if isinstance(q, VectorSeq) else VectorSeq(q)), tol)
-    if fac.rank == 0:
-        raise ZeroSequence("f is the zero sequence; no Q can be validated")
     bounds = fac.bounds()
 
     if fac_q.rank < fac_q.dim:
@@ -231,13 +226,31 @@ def rdual_type_III(
     f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis, q: QOperator, tol: Tolerances = DEFAULT_TOL
 ) -> VectorSeq:
     """Type-III dual: Q times the type-I dual of the Parsevalized f under (e, h)."""
-    _require_same_dim(f.dim, e.dim, h.dim, q.q.shape[0])
+    require_same_dim(f.dim, e.dim, h.dim, q.q.shape[0])
     fac = frames.FactoredSequence.of(f, tol)
-    if fac.rank == 0:
-        raise ZeroSequence("a zero sequence has no frame bounds")
     if not _bounds_close(fac.bounds(), q.validated_against, tol):
         raise BoundsMismatch("Q was validated against a different frame operator")
     return VectorSeq(q.q @ rdual_type_I(VectorSeq(fac.parseval()), e, h).mat)
+
+
+def _recover(omega: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis, fac_q, invert, s_f_sqrt, tol) -> VectorSeq:
+    """s_f_sqrt times the type-I dual of Q^-1 omega under (h, e): both recoveries, for Q the FactoredSequence fac_q.
+
+    s_f_sqrt must be Hermitian; NotHermitian is raised before invert(fac_q, tol) takes Q^-1.
+    """
+    s_f_sqrt = as_operator(s_f_sqrt)
+    require_same_dim(omega.dim, e.dim, h.dim, fac_q.dim, s_f_sqrt.shape[0])
+    if not is_hermitian(s_f_sqrt, tol):
+        raise NotHermitian("s_f_sqrt must be Hermitian")
+    return VectorSeq(s_f_sqrt @ rdual_type_I(VectorSeq(invert(fac_q, tol) @ omega.mat), h, e).mat)
+
+
+def _q_inverse(fac_q: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
+    """Q^-1 from the SVD Q carries, its rank retaken at tol; QSingular when that rank falls short."""
+    try:
+        return frames.FactoredSequence.of(fac_q, tol).inverse()
+    except SingularAction as exc:
+        raise QSingular(str(exc)) from exc
 
 
 def recover_type_III(
@@ -254,15 +267,7 @@ def recover_type_III(
     swapped bases (h, e), which undoes the map under (e, h). Q is inverted
     from the SVD it carries, at tol's rank threshold, so no engine pass runs.
     """
-    s_f_sqrt = as_operator(s_f_sqrt)
-    _require_same_dim(omega.dim, e.dim, h.dim, q.q.shape[0], s_f_sqrt.shape[0])
-    if not is_hermitian(s_f_sqrt, tol):
-        raise NotHermitian("s_f_sqrt must be Hermitian")
-    try:
-        q_inv = frames.FactoredSequence.of(q.fac_q, tol).inverse()
-    except SingularAction as exc:
-        raise QSingular(str(exc)) from exc
-    return VectorSeq(s_f_sqrt @ rdual_type_I(VectorSeq(q_inv @ omega.mat), h, e).mat)
+    return _recover(omega, e, h, q.fac_q, _q_inverse, s_f_sqrt, tol)
 
 
 def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> RDualCertificate:
@@ -280,8 +285,6 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = D
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
     if fac_f.rank != fac_w.rank:
         raise RankMismatch(f"ranks differ: {fac_f.rank} vs {fac_w.rank}")
-    if fac_f.rank == 0:
-        raise ZeroSequence("cannot certify a pair of zero sequences")
     bounds_f = fac_f.bounds()
     bounds_w = fac_w.bounds()
     if not _bounds_close(bounds_f, bounds_w, tol):
@@ -304,15 +307,15 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = D
     )
 
 
-def _ext_inverse(fac_ext: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
-    """Invert a certificate's extended root, which must be Hermitian, from fac_ext, its factorization.
+def _ext_inverse(root: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
+    """Invert a certificate's extended root, which must be Hermitian, from the SVD it carries.
 
-    fac_ext's rank decides invertibility, so the caller takes it at the call's tol.
+    Its rank, which decides invertibility, is retaken at tol.
     """
-    if not is_hermitian(fac_ext.mat, tol):
+    if not is_hermitian(root.mat, tol):
         raise CertificationFailed("certificate operator is not Hermitian")
     try:
-        return fac_ext.inverse()
+        return frames.FactoredSequence.of(root, tol).inverse()
     except SingularAction as exc:
         raise CertificationFailed(f"certificate operator is not invertible: {exc}") from exc
 
@@ -326,19 +329,14 @@ def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol:
     taken at tol, so no engine pass runs. Raises NotHermitian unless
     s_f_sqrt is Hermitian, as recover_type_III does.
     """
-    s_f_sqrt = as_operator(s_f_sqrt)
-    _require_same_dim(omega.dim, cert.e_basis.dim, cert.h_basis.dim, s_f_sqrt.shape[0])
-    if not is_hermitian(s_f_sqrt, tol):
-        raise NotHermitian("s_f_sqrt must be Hermitian")
-    ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_ext, tol), tol)
-    return VectorSeq(s_f_sqrt @ rdual_type_I(VectorSeq(ext_inv @ omega.mat), cert.h_basis, cert.e_basis).mat)
+    return _recover(omega, cert.e_basis, cert.h_basis, cert.fac_ext, _ext_inverse, s_f_sqrt, tol)
 
 
-def _certified_f(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -> frames.FactoredSequence:
-    """f factored at tol: by certify's SVD when f is the certified sequence, array for array, else by one pass."""
+def _certified_parseval(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -> VectorSeq:
+    """The Parsevalized f: from certify's SVD when f is the certified sequence, array for array, else from one pass."""
     if cert.fac_f is not None and np.array_equal(f.mat, cert.fac_f.mat):
         f = cert.fac_f
-    return frames.FactoredSequence.of(f, tol)
+    return frames.parsevalize(f, tol)
 
 
 def gamma_sequence(f: VectorSeq, cert: RDualCertificate, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
@@ -348,9 +346,9 @@ def gamma_sequence(f: VectorSeq, cert: RDualCertificate, tol: Tolerances = DEFAU
     Parsevalized f under the certificate bases. The root is inverted from
     the certificate's Jacobi SVD of it (RDualCertificate.fac_root).
     """
-    _require_same_dim(f.dim, cert.e_basis.dim)
-    g = frames.parsevalize(_certified_f(f, cert, tol), tol)
-    ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_root, tol), tol)
+    require_same_dim(f.dim, cert.e_basis.dim)
+    g = _certified_parseval(f, cert, tol)
+    ext_inv = _ext_inverse(cert.fac_root, tol)
     return VectorSeq(ext_inv @ rdual_type_I(g, cert.e_basis, cert.h_basis).mat)
 
 
@@ -364,11 +362,10 @@ def coefficient_identity_check(
     keep this at roundoff level. f and the root are factored as in
     gamma_sequence.
     """
-    _require_same_dim(f.dim, omega.dim, cert.e_basis.dim)
-    ext_inv = _ext_inverse(frames.FactoredSequence.of(cert.fac_root, tol), tol)
+    require_same_dim(f.dim, omega.dim, cert.e_basis.dim)
+    ext_inv = _ext_inverse(cert.fac_root, tol)
     lhs = cert.h_basis.mat.conj().T @ ext_inv @ omega.mat
-    g = frames.parsevalize(_certified_f(f, cert, tol), tol)
-    rhs = (cert.e_basis.mat.conj().T @ g.mat).T
+    rhs = (cert.e_basis.mat.conj().T @ _certified_parseval(f, cert, tol).mat).T
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -30,6 +30,11 @@ call on one stack of the Lambda_k, the c-family error and the a-family
 prefix errors. Each norm is its matrix's own: it brackets sigma_max by
 repeated squaring, to within a few n eps, and only a matrix with a
 clustered top reaches the engine, through linalg.svd.
+
+Equal dimensions are types.require_same_dim's test, and a nonzero omega or
+f that of the closed form read off it, FactoredSequence.sqrt_ext or
+parseval, which raise ZeroSequence. represent_inv_sqrt checks its stack and
+both coefficient lengths itself; nothing else reads them.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, linalg
-from .errors import CertificationFailed, DimensionMismatch, ZeroSequence
+from .errors import CertificationFailed, DimensionMismatch
 from .types import (
     DEFAULT_TOL,
     OrthonormalBasis,
@@ -47,6 +52,7 @@ from .types import (
     VectorSeq,
     as_operator,
     has_finite_moduli,
+    require_same_dim,
 )
 
 
@@ -132,13 +138,10 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances = 
 
     The square root of the frame operator is restricted to the span of omega
     and extended to the whole space, so the family is defined even when omega
-    is rank deficient.
+    is rank deficient; a zero omega raises ZeroSequence.
     """
-    if omega.dim != h.dim:
-        raise DimensionMismatch(f"dimensions differ: {omega.dim} vs {h.dim}")
+    require_same_dim(omega.dim, h.dim)
     fac = frames.FactoredSequence.of(omega, tol)
-    if fac.rank == 0:
-        raise ZeroSequence("the sequence spans nothing; no shift family exists")
     ext = fac.sqrt_ext()
     return ShiftFamily(
         u=np.roll(h.mat, -1, axis=1) @ h.mat.conj().T,
@@ -158,8 +161,7 @@ def lambda_family(fam: ShiftFamily, h: OrthonormalBasis) -> np.ndarray:
     X = H^* S^{1/2} H into the stack of C(x_k), then one broadcast product.
     Entry k of the stack is Lambda_k.
     """
-    if fam.dim != h.dim:
-        raise DimensionMismatch(f"dimensions differ: {fam.dim} vs {h.dim}")
+    require_same_dim(fam.dim, h.dim)
     n = h.dim
     analysis = h.mat.conj().T
     x = analysis @ fam.s_sqrt_ext @ h.mat
@@ -182,23 +184,16 @@ def coefficients(
 
     fam must be the shift family of omega: the p-family projects onto the
     span it carries, so omega is not factored again. Another omega raises
-    CertificationFailed.
+    CertificationFailed, and a zero f ZeroSequence.
     """
-    if len({f.dim, omega.dim, h.dim, fam.dim}) != 1:
-        raise DimensionMismatch(
-            f"dimensions differ: {f.dim}, {omega.dim}, {h.dim}, {fam.dim}"
-        )
+    require_same_dim(f.dim, omega.dim, h.dim, fam.dim)
     if not np.array_equal(omega.mat, fam.source):
         raise CertificationFailed("omega is not the sequence the shift family was built from")
-    # the zero test reads f's rank, and the Parsevalization reuses the same SVD
-    f = frames.FactoredSequence.of(f, tol)
-    if f.rank == 0:
-        raise ZeroSequence("the source sequence is zero; its coefficients vanish")
     h0 = h.mat[:, 0]
     analysis = h.mat.conj().T
     a = analysis @ (fam.s_inv_sqrt_ext @ h0)
 
-    g = f.parseval()
+    g = frames.FactoredSequence.of(f, tol).parseval()
     c = (g.conj().T @ g)[0]
 
     p = analysis @ (fam.span @ (fam.span.conj().T @ h0))
@@ -230,7 +225,8 @@ def represent_inv_sqrt(
 
     lambdas is the (n, n, n) stack lambda_family returns, or anything
     np.asarray turns into one, such as a list of n matrices; another shape,
-    a ragged list included, raises DimensionMismatch. The a-family sum must
+    a ragged list included, raises DimensionMismatch, as does an a- or
+    c-family whose length is not n. The a-family sum must
     land on the inverse extended square root within its gate, and every
     prefix of it must respect the tail bound (excluded l1 mass times sqrt
     of the Bessel supremum) within its own; violations mean the inputs were
@@ -255,8 +251,9 @@ def represent_inv_sqrt(
         lams = np.asarray(lambdas, dtype=np.complex128)
     except ValueError as exc:
         raise DimensionMismatch(f"the Lambda_k do not form one stack: {exc}") from exc
-    if lams.shape != (n, n, n) or len(coeffs.a) != n:
-        raise DimensionMismatch(f"expected a {(n, n, n)} stack and {n} coefficients, got {lams.shape}, {len(coeffs.a)}")
+    lengths = (len(coeffs.a), len(coeffs.c))
+    if lams.shape != (n, n, n) or lengths != (n, n):
+        raise DimensionMismatch(f"expected a {(n, n, n)} stack and a and c of length {n}, got {lams.shape}, {lengths}")
     if not has_finite_moduli(lams):
         raise ValueError("Lambda entries must be finite")
     target = fam.s_inv_sqrt_ext

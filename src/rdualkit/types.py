@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal, ShapeError
 
-Scalar = complex
-
 RIESZ_BASIS = "riesz_basis"
 PROPER_FRAME_SEQUENCE = "proper_frame_sequence"
 ZERO_SEQUENCE = "zero_sequence"
@@ -78,6 +76,21 @@ def frobenius_norm(x: np.ndarray) -> float:
     """
     e = pow2_exponent(x)
     return float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e))
+
+
+def require_same_dim(*dims: int) -> None:
+    """Raise DimensionMismatch unless every dimension in dims is the same; the message lists them all."""
+    if len(set(dims)) > 1:
+        raise DimensionMismatch(f"dimensions differ: {dims}")
+
+
+def require_orthonormal(cols: np.ndarray, tol: Tolerances, what: str) -> None:
+    """Raise NotOrthonormal, naming the columns what, unless their Gram matrix is the identity within cert_rel."""
+    # no entry of an orthonormal column exceeds 1 in modulus, and entries far above it overflow the Gram product
+    fits = np.max(np.abs(cols), initial=0.0) <= 2.0
+    defect = np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1])) if fits else np.inf
+    if defect > tol.cert_rel:
+        raise NotOrthonormal(f"{what} Gram deviates from identity by {defect:.3e}")
 
 
 def _freeze(mat: np.ndarray) -> np.ndarray:
@@ -157,9 +170,7 @@ class OrthonormalBasis(VectorSeq):
         if isinstance(self.mat, VectorSeq):
             object.__setattr__(self, "mat", self.mat.mat)
         super().__post_init__()
-        defect = np.linalg.norm(self.mat.conj().T @ self.mat - np.eye(self.dim))
-        if defect > self.tol.cert_rel:
-            raise NotOrthonormal(f"Gram deviates from identity by {defect:.3e}")
+        require_orthonormal(self.mat, self.tol, "basis")
 
 
 @dataclass(frozen=True)
@@ -253,9 +264,7 @@ class SubspaceOperator:
         act = self.action if isinstance(self.action, VectorSeq) else VectorSeq(self.action)
         if act.dim != k:
             raise DimensionMismatch(f"action is {act.dim} x {act.dim} but V has dimension {k}")
-        defect = np.linalg.norm(vb.conj().T @ vb - np.eye(k))
-        if defect > self.tol.cert_rel:
-            raise NotOrthonormal(f"v_basis Gram deviates from identity by {defect:.3e}")
+        require_orthonormal(vb, self.tol, "v_basis")
         vb.setflags(write=False)
         object.__setattr__(self, "v_basis", vb)
         object.__setattr__(self, "action", act)

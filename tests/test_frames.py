@@ -1,11 +1,21 @@
 """Frame operator, bounds, classification, duals, Parseval normalization."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from rdualkit import frames, linalg
+from rdualkit import frames, linalg, rduals, representation
 from rdualkit.errors import BoundsOutOfRange, DimensionMismatch, SingularAction, ZeroSequence
-from rdualkit.types import DEFAULT_TOL, PROPER_FRAME_SEQUENCE, RIESZ_BASIS, Tolerances, VectorSeq, ZERO_SEQUENCE
+from rdualkit.types import (
+    DEFAULT_TOL,
+    PROPER_FRAME_SEQUENCE,
+    RIESZ_BASIS,
+    OrthonormalBasis,
+    Tolerances,
+    VectorSeq,
+    ZERO_SEQUENCE,
+)
 
 
 def seq(*vectors):
@@ -66,6 +76,42 @@ def test_optimal_bounds_hand_cases():
 def test_optimal_bounds_rejects_zero():
     with pytest.raises(ZeroSequence):
         frames.optimal_bounds(seq([0, 0], [0, 0]))
+
+
+# every entry that needs rank >= 1, called with the zero sequence c.zero
+# where it takes a sequence; c.eye is a nonzero sequence, c.e the standard
+# basis, c.q a Q validated against c.eye and c.fam c.eye's shift family
+_ZERO_RANK_CALLS = {
+    "FactoredSequence.bounds": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).bounds(),
+    "FactoredSequence.parseval": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).parseval(),
+    "FactoredSequence.sqrt_ext": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).sqrt_ext(),
+    "optimal_bounds": lambda c: frames.optimal_bounds(c.zero),
+    "canonical_dual": lambda c: frames.canonical_dual(c.zero),
+    "parsevalize": lambda c: frames.parsevalize(c.zero),
+    "validate_q": lambda c: rduals.validate_q(c.eye.mat, c.zero),
+    "rdual_type_III": lambda c: rduals.rdual_type_III(c.zero, c.e, c.e, c.q),
+    "certify_symmetrical_pair": lambda c: rduals.certify_symmetrical_pair(c.zero, c.zero),
+    "build_shift_family": lambda c: representation.build_shift_family(c.zero, c.e),
+    "coefficients": lambda c: representation.coefficients(c.zero, c.eye, c.e, c.fam),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ZERO_RANK_CALLS))
+def test_every_closed_form_needing_rank_rejects_a_zero_sequence(entry):
+    # the zero test lives in the three FactoredSequence methods; before they
+    # raised, bounds built FrameBounds(0, 0), a bare ValueError, parseval
+    # returned zeros and sqrt_ext a "full rank" root of zeros whose inverse is inf
+    eye = VectorSeq(np.eye(3))
+    e = OrthonormalBasis(np.eye(3))
+    c = SimpleNamespace(
+        zero=VectorSeq(np.zeros((3, 3))),
+        eye=eye,
+        e=e,
+        q=rduals.validate_q(eye.mat, eye),
+        fam=representation.build_shift_family(eye, e),
+    )
+    with pytest.raises(ZeroSequence):
+        _ZERO_RANK_CALLS[entry](c)
 
 
 def test_bounds_outside_float_range_raise():

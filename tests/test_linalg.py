@@ -678,6 +678,109 @@ def test_library_calls_no_numpy_linalg_but_norm():
         assert set(calls) <= {"norm"}, (path.name, sorted(set(calls)))
 
 
+def _library_trees():
+    """(file name, parsed module) for every module of the library's source."""
+    for path in sorted(pathlib.Path(rdualkit.__file__).parent.rglob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def test_library_modules_read_every_name_they_import():
+    # an import no line reads is dead weight; the names __init__ lists in
+    # __all__ are its exports, so they count as read
+    unread = []
+    for name, tree in _library_trees():
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        unread += [f"{name}:{alias}" for alias in imported if alias not in read]
+    assert unread == []
+
+
+def _owners(tree, file_name) -> dict:
+    """id(node) -> "file:Class.function" for every node inside a function, naming the innermost one."""
+    owner = {}
+
+    def visit(node, scope, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [*scope, child.name]
+                visit(child, inner, fn if isinstance(child, ast.ClassDef) else f"{file_name}:{'.'.join(inner)}")
+                continue
+            if fn is not None:
+                owner[id(child)] = fn
+            visit(child, scope, fn)
+
+    visit(tree, [], None)
+    return owner
+
+
+def _is_gram_defect(node) -> bool:
+    """Whether node is X.conj().T @ Y - np.eye(...), a Gram matrix minus the identity."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.MatMult)
+        and ast.unparse(node.left.left).endswith(".conj().T")
+        and isinstance(node.right, ast.Call)
+        and ast.unparse(node.right.func) == "np.eye"
+    )
+
+
+def test_each_precondition_is_checked_in_one_function():
+    # a precondition checked in several copies drifts apart in message and
+    # threshold, so each has one home: the dimension message, the Gram
+    # defect against cert_rel, the Hermitian test of s_f_sqrt; and the
+    # zero-rank test lives with the closed forms, not in their callers
+    dim_messages, gram_checks, sf_checks, rank_tests = [], set(), [], []
+    for name, tree in _library_trees():
+        owner = _owners(tree, name)
+        nodes = list(ast.walk(tree))
+        dim_messages += [
+            owner.get(id(node))
+            for node in nodes
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "dimensions differ" in node.value
+        ]
+        by_function = {}
+        for node in nodes:
+            by_function.setdefault(owner.get(id(node)), []).append(node)
+        gram_checks |= {
+            fn
+            for fn, body in by_function.items()
+            if fn is not None
+            and any(_is_gram_defect(node) for node in body)
+            and any(isinstance(node, ast.Attribute) and node.attr == "cert_rel" for node in body)
+        }
+        sf_checks += [
+            owner.get(id(node))
+            for node in nodes
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "is_hermitian"
+            and node.args
+            and ast.unparse(node.args[0]) == "s_f_sqrt"
+        ]
+        if name in ("rduals.py", "representation.py"):
+            rank_tests += [
+                f"{name}:{node.lineno}"
+                for node in nodes
+                if isinstance(node, ast.Compare)
+                and any(isinstance(op, ast.Eq) for op in node.ops)
+                and any(isinstance(side, ast.Attribute) and side.attr == "rank" for side in (node.left, *node.comparators))
+                and any(isinstance(side, ast.Constant) and side.value == 0 for side in (node.left, *node.comparators))
+            ]
+    assert dim_messages == ["types.py:require_same_dim"]
+    assert gram_checks == {"types.py:require_orthonormal"}
+    assert sf_checks == ["rduals.py:_recover"]
+    assert rank_tests == []
+
+
 def _names_read(fn) -> set:
     """The names fn's body reads, leaving out the p of a default p = p or ..."""
     body = [node for stmt in fn.body for node in ast.walk(stmt)]
@@ -701,10 +804,10 @@ def _names_read(fn) -> set:
 
 def _library_functions():
     """(file name, function node) for every function defined in the library's source."""
-    for path in sorted(pathlib.Path(rdualkit.__file__).parent.rglob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+    for name, tree in _library_trees():
+        for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield path.name, fn
+                yield name, fn
 
 
 def test_library_functions_read_every_parameter():

@@ -16,7 +16,7 @@ from rdualkit.errors import (
     QTooLarge,
     RankMismatch,
 )
-from rdualkit.types import DEFAULT_TOL, RIESZ_BASIS, OrthonormalBasis, VectorSeq, frobenius_norm
+from rdualkit.types import DEFAULT_TOL, RIESZ_BASIS, OrthonormalBasis, Tolerances, VectorSeq, frobenius_norm
 
 
 def onb(rng, n):
@@ -280,6 +280,10 @@ def test_recover_symmetrical_desk_example():
     s_f_sqrt = linalg.psd_sqrt(frames.frame_operator(DESK_F))
     back = rduals.recover_symmetrical(DESK_W, cert, s_f_sqrt)
     assert np.max(np.abs(back.mat - DESK_F.mat)) <= 1e-12
+    # a bundle can carry a root of another size than its bases; numpy's matmul then raised a bare ValueError
+    odd = dataclasses.replace(cert, fac_ext=frames.FactoredSequence.of(VectorSeq(np.eye(3)), DEFAULT_TOL))
+    with pytest.raises(DimensionMismatch, match=r"dimensions differ: \(2, 2, 2, 3, 2\)"):
+        rduals.recover_symmetrical(DESK_W, odd, s_f_sqrt)
 
 
 def _scaled_pair(c, n=6):
@@ -317,6 +321,11 @@ def test_hermitian_checks_are_relative_to_the_operator():
     assert np.max(np.abs(back.mat - f.mat)) <= 1e-12 * c
     with pytest.raises(NotHermitian):
         rduals.recover_type_III(omega3, e, h, q, s_f_sqrt + skew)
+    # s_f_sqrt is checked before Q is inverted: at this rank threshold Q is singular
+    with pytest.raises(NotHermitian):
+        rduals.recover_type_III(omega3, e, h, q, s_f_sqrt + skew, Tolerances(rank_rel=0.9))
+    with pytest.raises(QSingular):
+        rduals.recover_type_III(omega3, e, h, q, s_f_sqrt, Tolerances(rank_rel=0.9))
 
     cert = rduals.certify_symmetrical_pair(f, omega)
     rduals.recover_symmetrical(omega, cert, s_f_sqrt)
@@ -327,6 +336,9 @@ def test_hermitian_checks_are_relative_to_the_operator():
     bent = dataclasses.replace(cert, fac_ext=bent_root)
     with pytest.raises(CertificationFailed, match="not Hermitian"):
         rduals.recover_symmetrical(omega, bent, s_f_sqrt)
+    # and before the root is checked or inverted
+    with pytest.raises(NotHermitian):
+        rduals.recover_symmetrical(omega, bent, s_f_sqrt + skew)
     with pytest.raises(CertificationFailed, match="not Hermitian"):
         rduals.gamma_sequence(f, bent)
 

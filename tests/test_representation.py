@@ -1,5 +1,7 @@
 """Shift family, lambda operators, coefficient families, and the assembled series."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,10 @@ def test_represent_rejects_mismatched_lengths():
         representation.represent_inv_sqrt(fam, [np.eye(1)] + list(lams[1:]), co)
     with pytest.raises(DimensionMismatch):
         representation.represent_inv_sqrt(fam, np.ones((2, 2, 3)), co)
+    # a c-family one short or one long: zip cut the c-sum short, then numpy raised a bare ValueError
+    for c in (co.c[:-1], np.append(co.c, co.c[0])):
+        with pytest.raises(DimensionMismatch):
+            representation.represent_inv_sqrt(fam, lams, dataclasses.replace(co, c=c))
     with pytest.raises(ValueError, match="finite"):
         representation.represent_inv_sqrt(fam, [np.full((2, 2), np.inf), lams[1]], co)
 

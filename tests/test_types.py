@@ -90,6 +90,9 @@ def test_orthonormal_basis_is_a_sequence():
     assert basis.mat[0, 0] == 1.0
     with pytest.raises(NotOrthonormal):
         OrthonormalBasis(2.0 * np.eye(2))
+    # a rotation scaled by 1e200 overflowed the Gram product to inf - inf = nan, and a nan defect passed the gate
+    with pytest.raises(NotOrthonormal):
+        OrthonormalBasis(1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]))
     # the Gram defect is checked at the tolerances given
     bent = np.eye(2) + 1e-8 * np.ones((2, 2))
     OrthonormalBasis(bent, tol=Tolerances(cert_rel=1e-6))
