@@ -222,6 +222,7 @@ def _cmd_rdual_type3(args, tol):
     results = {
         "omega": io.sequence_payload(out.mat),
         "validated_bounds": _bounds_dict(q.validated_against),
+        "q_roundoff": q.roundoff,
     }
     return results, residuals
 
@@ -256,9 +257,10 @@ def _cmd_recover(args, tol):
     # not through rdual_type_III, so a wrong omega fails on this residual and not on its bounds check
     g = frames.parsevalize(recovered, tol)
     rebuilt = cert.s_omega_sqrt_ext @ rduals.rdual_type_I(g, cert.e_basis, cert.h_basis).mat
-    budget = tol.cert_rel * frobenius_norm(omega.mat)
-    residuals = [_residual("reproduction", frobenius_norm(omega.mat - rebuilt), budget)]
-    results = {"recovered": io.sequence_payload(recovered.mat)}
+    norm = frobenius_norm(omega.mat)
+    roundoff = cert.roundoff * norm
+    residuals = [_residual("reproduction", frobenius_norm(omega.mat - rebuilt), tol.cert_rel * norm + roundoff)]
+    results = {"recovered": io.sequence_payload(recovered.mat), "roundoff": roundoff}
     return results, residuals
 
 
@@ -269,12 +271,14 @@ def _cmd_gamma(args, tol):
     biorth = float(np.linalg.norm(frames.cross_gram(omega, gam) - np.eye(omega.dim)))
     coeff_gap = rduals.coefficient_identity_check(f, omega, cert, tol)
     riesz = omega.rank == omega.dim
+    # both are Parseval-scale quantities: cert_rel plus the roundoff of inverting the root
+    gate = tol.cert_rel + cert.roundoff
     residuals = [
         # biorthogonality is only promised for bases; otherwise it is reported unasserted
-        _residual("biorthogonality", biorth, tol.cert_rel if riesz else None),
-        _residual("coefficient_identity", coeff_gap, tol.cert_rel),
+        _residual("biorthogonality", biorth, gate if riesz else None),
+        _residual("coefficient_identity", coeff_gap, gate),
     ]
-    results = {"gamma": io.sequence_payload(gam.mat), "omega_is_riesz_basis": riesz}
+    results = {"gamma": io.sequence_payload(gam.mat), "omega_is_riesz_basis": riesz, "roundoff": cert.roundoff}
     return results, residuals
 
 

@@ -63,9 +63,10 @@ psd_pinv_sqrt; no operation calls them) share one spectral body,
 _psd_spectral, which maps the eigenvalues of hermitian_eig. hermitian_eig
 checks its input with the package's one Hermitian test, types.is_hermitian,
 relative to the matrix's own norm with no floor at 1, and runs the same SVD
-on the matrix shifted by its Frobenius norm: the shifted matrix is positive
-semidefinite, so its right singular vectors are eigenvectors of the
-original, and the eigenvalues are their Rayleigh quotients (Demmel and
+on the matrix, scaled as svd's input by the one front end _front, shifted by
+its Frobenius norm: the shifted matrix is positive semidefinite, so its
+right singular vectors are eigenvectors of the original, and the
+eigenvalues are their Rayleigh quotients, scaled back (Demmel and
 Veselic, "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
 Appl. 13(4), 1992, use one-sided Jacobi for the Hermitian eigenproblem).
 inverse is for a bare matrix: the operations decide invertibility by
@@ -89,8 +90,6 @@ from .types import (
     OrthonormalBasis,
     Svd,
     Tolerances,
-    as_operator,
-    has_finite_moduli,
     is_hermitian,
     require_orthonormal,
 )
@@ -144,19 +143,22 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     The shift by the Frobenius norm makes w + shift*I positive semidefinite,
     so the right singular vectors of the shifted matrix are eigenvectors of w
     itself; unshifted, they would only diagonalize w^2 and could mix the
-    eigenvectors of +lambda and -lambda. Eigenvalues are the Rayleigh
-    quotients, ascending, with orthonormal eigenvector columns. Raises
-    NotHermitian when the input is not symmetric to working precision and
-    NoConvergence (from svd) if the sweep cap is exhausted.
+    eigenvectors of +lambda and -lambda. w is the input times 2^-e (_front),
+    so its norm cannot underflow or overflow. Eigenvalues are the Rayleigh
+    quotients times 2^e, ascending, with orthonormal eigenvector columns.
+    Raises NotHermitian when the input is not symmetric to working precision
+    and NoConvergence (from svd) if the sweep cap is exhausted.
     """
-    a = as_operator(a)
-    n = a.shape[0]
+    scaled, e, shape = _front(a)
+    if len(shape) != 2:
+        raise ShapeError(f"expected a square matrix, got shape {shape}")
+    a = scaled[0]
     if not is_hermitian(a, tol):
         raise NotHermitian("matrix is not Hermitian to working precision")
 
     w = (a + a.conj().T) / 2.0
-    v = svd(w + np.linalg.norm(w) * np.eye(n)).right
-    lam = np.real(np.einsum("ij,ij->j", v.conj(), w @ v))
+    v = svd(w + np.linalg.norm(w) * np.eye(shape[0])).right
+    lam = np.ldexp(np.real(np.einsum("ij,ij->j", v.conj(), w @ v)), e[0])
     order = np.argsort(lam, kind="stable")
     return EigenDecomposition(eigenvalues=lam[order], vectors=v[:, order])
 
@@ -191,10 +193,8 @@ def svd(a) -> Svd:
     those of one call per matrix, stacked the same way, and NoConvergence
     reports the largest pair measure over the stack.
     """
-    a = _as_stack(a)
-    n = a.shape[-1]
-    scaled, e = _scaled(a.reshape(-1, n, n))
-    count = scaled.shape[0]
+    scaled, e, shape = _front(a)
+    count, n, _ = scaled.shape
 
     # row b*n + j holds column j of [a_b; v_b], so a round gathers and scatters whole rows
     eyes = np.broadcast_to(np.eye(n), (count, n, n))
@@ -203,14 +203,14 @@ def svd(a) -> Svd:
 
     rows = w.reshape(count, n, 2 * n)
     b = rows[:, :, :n].transpose(0, 2, 1)
-    v = rows[:, :, n:].transpose(0, 2, 1)
     # the singular values are the norms of the rotated columns; one below _TINY counts as zero
     squares = np.real(np.einsum("kij,kij->kj", b.conj(), b))
     norms = np.where(squares >= _TINY, np.sqrt(squares), 0.0)
-    order = np.argsort(-norms, axis=1, kind="stable")
-    norms = np.take_along_axis(norms, order, axis=1)
-    b = np.take_along_axis(b, order[:, None, :], axis=2)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    # one row gather puts each matrix's columns of [b; v] in descending order of norm
+    picked = np.arange(count)[:, None], np.argsort(-norms, axis=1, kind="stable")
+    norms = norms[picked]
+    cols = rows[picked].transpose(0, 2, 1).copy()
+    b, v = cols[:, :n], cols[:, n:]
 
     # norms descend, so the columns with a zero norm come last and are completed
     filled = np.count_nonzero(norms > 0.0, axis=1)
@@ -218,18 +218,31 @@ def svd(a) -> Svd:
     for k in np.flatnonzero(filled < n):
         left[k] = _complete_columns(left[k, :, : filled[k]])
     return Svd(
-        left=left.reshape(a.shape),
-        singulars=np.ldexp(norms, e[:, None]).reshape(a.shape[:-1]),
-        right=v.reshape(a.shape),
+        left=left.reshape(shape),
+        singulars=np.ldexp(norms, e[:, None]).reshape(shape[:-1]),
+        right=v.reshape(shape),
     )
 
 
-def _scaled(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix of the stack mats times 2^-e, with e its exponent, so its largest entry lies in [1/2, 1)."""
+def _front(a) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The engine's front end: a matrix or stack (..., n, n) as (count, n, n), each times 2^-e; then e and a's shape.
+
+    e puts each matrix's largest entry in [1/2, 1). One modulus pass gives e and the finite check of
+    types.has_finite_moduli, since a largest modulus is finite exactly when every modulus is.
+    """
+    mat = np.asarray(a, dtype=np.complex128, order="C")
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
+    if mat.size == 0:
+        raise ShapeError("dimension and stack size must be at least 1")
+    mats = mat.reshape(-1, *mat.shape[-2:])
+    peak = np.max(np.abs(mats), axis=(1, 2))
+    if not np.isfinite(peak).all():
+        raise ValueError("matrix entries must be finite")
     # frexp(0) gives e = 0: a zero matrix stays as it is and has no pair to rotate
-    _, e = np.frexp(np.max(np.abs(mats), axis=(1, 2)))
+    _, e = np.frexp(peak)
     # ldexp takes real arrays only, so scale the real and imaginary parts as one float view
-    return np.ldexp(mats.view(np.float64), -e[:, None, None]).view(np.complex128), e
+    return np.ldexp(mats.view(np.float64), -e[:, None, None]).view(np.complex128), e, mat.shape
 
 
 def _sweeps(w: np.ndarray, n: int) -> None:
@@ -286,23 +299,6 @@ def _sweeps(w: np.ndarray, n: int) -> None:
     raise NoConvergence(sweep, measure)
 
 
-def _as_stack(a) -> np.ndarray:
-    """A matrix or a stack (..., n, n) of them as one C-ordered complex array.
-
-    The checks are those of as_operator. svd and operator_norm write only to
-    arrays of their own, so an input that already is such an array is not
-    copied.
-    """
-    mat = np.asarray(a, dtype=np.complex128, order="C")
-    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
-        raise ShapeError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
-    if mat.size == 0:
-        raise ShapeError("dimension and stack size must be at least 1")
-    if not has_finite_moduli(mat):
-        raise ValueError("matrix entries must be finite")
-    return mat
-
-
 def operator_norm(a) -> float | np.ndarray:
     """Spectral norm, the largest singular value: a float, or an array over a stack (..., n, n).
 
@@ -321,16 +317,14 @@ def operator_norm(a) -> float | np.ndarray:
     matrix taken alone.
     Like svd, it takes no tolerance.
     """
-    a = _as_stack(a)
-    n = a.shape[-1]
-    scaled, e = _scaled(a.reshape(-1, n, n))
+    scaled, e, shape = _front(a)
     out, unclosed = _bracket(scaled)
     if unclosed.size:
         out[unclosed] = svd(scaled[unclosed]).singulars[:, 0]
     out = np.ldexp(out, e)
-    if a.ndim == 2:
+    if len(shape) == 2:
         return float(out[0])
-    return out.reshape(a.shape[:-2])
+    return out.reshape(shape[:-2])
 
 
 def _bracket(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +350,7 @@ def _bracket(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count, n, _ = scaled.shape
     close = (n + 8) * np.finfo(np.float64).eps / 2.0
     out = np.zeros(count)
-    # _scaled leaves a zero matrix unscaled; every other one has an entry of modulus at least 1/2.
+    # _front leaves a zero matrix unscaled; every other one has an entry of modulus at least 1/2.
     # Without a zero matrix, the stack is read in place: a copy cost about 0.5 MiB of peak memory
     live = np.flatnonzero(np.any(scaled, axis=(1, 2)))
     a = scaled if live.size == count else scaled[live]
@@ -371,8 +365,8 @@ def _bracket(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         upper = log + np.ldexp(np.log(np.minimum(1.0, np.max(np.sum(np.abs(power), axis=2), axis=1))), -j)
         # power is Hermitian, so its column norms are its row norms
         k = np.argmax(_squared_norms(power), axis=1)
-        x = np.take_along_axis(power, k[:, None, None], axis=2)
-        lower = np.log(_squared_norms(np.matmul(a, x)[:, :, 0]) / _squared_norms(x[:, :, 0]))
+        x = power[np.arange(k.size), :, k]
+        lower = np.log(_squared_norms(np.matmul(a, x[:, :, None])[:, :, 0]) / _squared_norms(x))
         closed = upper - lower <= close
         out[live[closed]] = np.exp(upper[closed] / 2.0)
         if closed.any():

@@ -95,6 +95,11 @@ class QOperator:
     def q(self) -> np.ndarray:
         return self.fac_q.mat
 
+    @property
+    def roundoff(self) -> float:
+        """n eps sigma_1 / sigma_n of Q: how far forming Q moves its sigma_n, relative; validate_q's slack adds it."""
+        return _roundoff(self.fac_q)
+
 
 @dataclass(frozen=True, eq=False)
 class RDualCertificate:
@@ -121,6 +126,16 @@ class RDualCertificate:
     @property
     def s_omega_sqrt_ext(self) -> np.ndarray:
         return self.fac_ext.mat
+
+    @property
+    def roundoff(self) -> float:
+        """3 n eps kappa, kappa = sigma_1 / sigma_r of omega and of the root: gamma's and recovery's relative roundoff.
+
+        Each inverts the root, applies the type-I map and applies or meets
+        the root again, and each of these three steps costs n eps kappa of
+        relative error, where cert_rel does not grow with kappa.
+        """
+        return 3.0 * _roundoff(self.fac_ext)
 
     @functools.cached_property
     def fac_root(self) -> frames.FactoredSequence:
@@ -169,6 +184,12 @@ class PairDecision:
     conjugation_residual: float | None
 
 
+def _roundoff(fac: frames.FactoredSequence) -> float:
+    """n eps sigma_1 / sigma_n for an invertible fac: the relative roundoff of forming it or applying its inverse."""
+    sv = fac.dec.singulars
+    return fac.dim * np.finfo(np.float64).eps * sv[0] / sv[-1]
+
+
 def _bounds_close(a: FrameBounds, b: FrameBounds, tol: Tolerances) -> bool:
     # the bounds are sigma_r^2 and sigma_1^2, so singular_gap compares their square roots
     gap, budget = singular_gap(np.sqrt([a.upper, a.lower]), np.sqrt([b.upper, b.lower]), tol)
@@ -200,7 +221,10 @@ def validate_q(q, f: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> QOperator:
 
     norm(Q) may not exceed the square root of the upper bound and
     norm(Q^-1) may not exceed the square root of the inverse lower bound; a
-    (1 + cert_rel) slack absorbs roundoff at the boundary. The bounds come
+    (1 + cert_rel) slack absorbs roundoff at the boundary. The second slack
+    adds QOperator.roundoff, n eps sigma_1 / sigma_n of Q: a Q formed as
+    U diag(sigma) U^H, such as the root of S_f, carries an error of order
+    eps sigma_1, which moves sigma_n by that much relative. The bounds come
     from the SVD of f (frames.FactoredSequence), at its rank threshold. Q
     is a matrix or a sequence; f and Q are factored in one stacked call,
     which reuses the SVD of either when it comes in factored, and must share
@@ -215,7 +239,7 @@ def validate_q(q, f: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> QOperator:
     slack = 1.0 + tol.cert_rel
     if sv[0] > np.sqrt(bounds.upper) * slack:
         raise QTooLarge(f"norm(Q) = {sv[0]:.6g} exceeds sqrt(upper bound) = {np.sqrt(bounds.upper):.6g}")
-    if 1.0 / sv[-1] > slack / np.sqrt(bounds.lower):
+    if 1.0 / sv[-1] > (slack + _roundoff(fac_q)) / np.sqrt(bounds.lower):
         raise QInverseTooLarge(
             f"norm(Q^-1) = {1.0 / sv[-1]:.6g} exceeds sqrt(1/lower bound) = {1.0 / np.sqrt(bounds.lower):.6g}"
         )

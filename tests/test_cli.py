@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from rdualkit import cli, generators, io, rduals
-from rdualkit.errors import UsageError
+from rdualkit import cli, frames, generators, io, rduals
+from rdualkit.errors import QInverseTooLarge, UsageError
 from rdualkit.types import DEFAULT_TOL, OrthonormalBasis, VectorSeq
 
 
@@ -187,6 +187,76 @@ def test_gamma_rank_deficient_pair_is_measured(tmp_path):
     biorth, coeff = report.residuals
     assert biorth["name"] == "biorthogonality" and "tolerance" not in biorth
     assert coeff["name"] == "coefficient_identity" and coeff["value"] <= coeff["tolerance"]
+
+
+GATE_DELTAS = 10.0 ** np.arange(-15.75, 0.0, 0.5)
+
+
+def gate_table(tmp_path, n, kappas):
+    """Per kappa, the smallest relative perturbation on GATE_DELTAS each gate rejects, with and without its roundoff.
+
+    The pair is f of spectrum geomspace(1, 1/kappa) and its type-I dual
+    omega. gamma's biorthogonality gate is applied to gamma (1 + delta z),
+    recover's reproduction gate to the recovered f (1 + delta z), entrywise
+    with |z| = 1, and validate_q to the root of S_f with sigma_n divided by
+    1 + delta. Without the roundoff term the gates are cert_rel,
+    cert_rel ||omega||_F and a (1 + cert_rel) slack; 0 marks a gate that
+    rejects the genuine input itself. Returns
+    {kappa: ((gamma, recover, q) with the term, (gamma, recover, q) without)}.
+    """
+    z = np.exp(2j * np.pi * np.random.default_rng(11).random((n, n)))
+    cert_rel = DEFAULT_TOL.cert_rel
+    deltas = (0.0, *GATE_DELTAS)
+    table = {}
+    for kappa in kappas:
+        f = generators.generate_sequence(n, "spectrum", np.geomspace(1.0, 1.0 / kappa, n), seed=12)
+        e, h = (generators.generate_sequence(n, "onb", seed=seed).mat for seed in (13, 14))
+        omega = h @ (e.conj().T @ f.mat).T
+        paths = {"f": seq_file(tmp_path, "f.json", f.mat), "omega": seq_file(tmp_path, "omega.json", omega)}
+        paths["cert"] = str(tmp_path / "cert.json")
+        cli.run(["certify", paths["f"], paths["omega"], "--out", paths["cert"]])
+        gamma = cli.run(["gamma", paths["f"], paths["omega"]])
+        recover = cli.run(["recover", paths["omega"], "--cert", paths["cert"]])
+        cert, _ = io.certificate_from_payload(io.load_json(paths["cert"]), DEFAULT_TOL)
+        gam = io.matrix_from_payload(gamma.results["gamma"])
+        recovered = io.matrix_from_payload(recover.results["recovered"])
+        u, sf, _ = np.linalg.svd(f.mat)
+        with_term, without = [], []
+        for delta in deltas:
+            biorth = np.linalg.norm(omega.T @ (gam * (1.0 + delta * z)).conj() - np.eye(n))
+            g = frames.parsevalize(VectorSeq(recovered * (1.0 + delta * z)))
+            rebuilt = cert.s_omega_sqrt_ext @ rduals.rdual_type_I(g, cert.e_basis, cert.h_basis).mat
+            reproduction = np.linalg.norm(omega - rebuilt)
+            q = (u * np.append(sf[:-1], sf[-1] / (1.0 + delta))) @ u.conj().T
+            try:
+                rduals.validate_q(q, f)
+                q_rejected = False
+            except QInverseTooLarge:
+                q_rejected = True
+            sq_min = frames.FactoredSequence.of(VectorSeq(q), DEFAULT_TOL).dec.singulars[-1]
+            with_term.append((
+                biorth > gamma.residuals[0]["tolerance"], reproduction > recover.residuals[0]["tolerance"], q_rejected
+            ))
+            without.append((
+                biorth > cert_rel, reproduction > cert_rel * np.linalg.norm(omega), sf[-1] / sq_min > 1.0 + cert_rel
+            ))
+        table[kappa] = tuple(
+            tuple(min((d for d, row in zip(deltas, rows) if row[k]), default=np.inf) for k in range(3))
+            for rows in (with_term, without)
+        )
+    return table
+
+
+def test_gates_reject_perturbations_at_every_condition(tmp_path):
+    # the gates of gamma, recover and validate_q add a roundoff term n eps kappa, times 3 for the
+    # two that invert the certificate's root; it matters only where that nears cert_rel: at
+    # kappa = 1e2 each gate rejects what it rejected without the term, and above 1e6 the gate
+    # without it rejected the genuine input (delta = 0) on some draws
+    table = gate_table(tmp_path, 6, (1e2, 1e4, 1e6, 1e8, 1e9))
+    assert table[1e2][0] == table[1e2][1], table[1e2]
+    for kappa, (with_term, _) in table.items():
+        # the genuine inputs pass, and each gate still rejects a perturbation of 1e-5 relative or less
+        assert all(0.0 < smallest <= 1e-5 for smallest in with_term), (kappa, with_term)
 
 
 def test_one_verdict_rule():

@@ -16,7 +16,10 @@ stack, and take its largest singular value bit for bit.
 Neither svd nor operator_norm may change its bits with the BLAS thread count.
 hermitian_eig runs the SVD on the matrix shifted by its Frobenius norm, so
 the eigen cases here include indefinite inputs with eigenvalues +-lambda,
-which an unshifted SVD would mix.
+which an unshifted SVD would mix; the shift is taken on the matrix times
+its power of two, so it and the PSD roots are right from 1e-300 to 1e300.
+svd, operator_norm and hermitian_eig check and scale their input in one
+front end, which a source scan pins.
 numpy.linalg appears here as an independent oracle only; the library itself
 calls no numpy.linalg function but norm, which the source scan below checks.
 A second scan checks that every library function reads each parameter it
@@ -123,6 +126,24 @@ def test_eig_hermitian_check_has_no_floor():
     for c in (1e-13, 1.0, 1e13):
         dec = hermitian_eig(c * (a + a.T))
         assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(c * (a + a.T)))) <= 1e-13 * c * np.linalg.norm(a)
+
+
+def test_eig_and_psd_roots_are_right_across_the_float_range():
+    # the shift by the Frobenius norm was taken on the unscaled matrix: its
+    # squares underflowed from 1e-170, which left eigenvalues +-0.953 for +-1,
+    # and overflowed from 1e160; on the matrix times its power of two they do neither
+    q, _ = np.linalg.qr(rand_complex(np.random.default_rng(71), 3))
+    indefinite = (q * [1.0, -1.0, 2.0]) @ q.conj().T
+    psd = (q * [1.0, 4.0, 9.0]) @ q.conj().T
+    root = (q * [1.0, 2.0, 3.0]) @ q.conj().T
+    inv_root = (q * [1.0, 1.0 / 2.0, 1.0 / 3.0]) @ q.conj().T
+    for exponent in (-300, -250, -200, -170, -150, 150, 160, 200, 250, 300):
+        c = 10.0**exponent
+        dec = hermitian_eig(c * indefinite)
+        assert np.max(np.abs(dec.eigenvalues / c - [-1.0, 1.0, 2.0])) <= 1e-14, exponent
+        assert np.linalg.norm((dec.vectors * dec.eigenvalues / c) @ dec.vectors.conj().T - indefinite) <= 1e-14
+        assert np.linalg.norm(psd_sqrt(c * psd) / np.sqrt(c) - root) <= 1e-14, exponent
+        assert np.linalg.norm(psd_pinv_sqrt(c * psd) * np.sqrt(c) - inv_root) <= 1e-14, exponent
 
 
 def test_psd_sqrt_diagonal_cases():
@@ -779,6 +800,21 @@ def test_each_precondition_is_checked_in_one_function():
     assert gram_checks == {"types.py:require_orthonormal"}
     assert sf_checks == ["rduals.py:_recover"]
     assert rank_tests == []
+
+
+def test_engine_checks_and_scales_in_one_front_end():
+    # svd, operator_norm and hermitian_eig check their input and take each
+    # matrix's power of two in _front alone, and no copy of the factors is
+    # reordered by take_along_axis
+    tree = ast.parse(pathlib.Path(linalg.__file__).read_text())
+    owner = _owners(tree, "linalg.py")
+    nodes = list(ast.walk(tree))
+    attrs = [node for node in nodes if isinstance(node, ast.Attribute)]
+    assert {owner.get(id(node)) for node in attrs if ast.unparse(node) == "np.frexp"} == {"linalg.py:_front"}
+    assert [node.lineno for node in attrs if node.attr == "take_along_axis"] == []
+    calls = [node for node in nodes if isinstance(node, ast.Call) and ast.unparse(node.func) == "_front"]
+    callers = {owner.get(id(node)) for node in calls}
+    assert callers == {"linalg.py:svd", "linalg.py:operator_norm", "linalg.py:hermitian_eig"}
 
 
 def _names_read(fn) -> set:

@@ -20,7 +20,10 @@ rdual type1 (f and both bases), whose outputs move with W. represent and
 rdual type1 also run on sequences whose smallest singular value sits just
 above or just below the rank threshold, rank_rel * sigma_1 * (1 +- 1e-3):
 type1 passes on both sides, and represent reads omega's span at the rank
-on its side. The examples are derandomized, so the suite stays
+on its side. CLI gamma, recover and rdual type3, with the certify report's
+root of S_f as Q, pass every genuine pair of size 6, 16 or 48 whose
+condition number lies anywhere from 1e2 to 1e9: their gates add a roundoff
+term that grows with it. The examples are derandomized, so the suite stays
 deterministic.
 """
 
@@ -29,7 +32,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from rdualkit import cli, frames, io, rduals  # noqa: E402
 from rdualkit.errors import RDualError  # noqa: E402
@@ -379,3 +382,30 @@ def test_cli_represent_is_right_below_the_rank_threshold(tmp_path_factory, case)
 @given(case=threshold_cases("above"))
 def test_cli_represent_is_right_above_the_rank_threshold(tmp_path_factory, case):
     _represent_is_right(tmp_path_factory.mktemp("represent_above"), case, rank_drop=0)
+
+
+# f of spectrum geomspace(1, 1/kappa) and its type-I dual omega, up to kappa = 1e9 under rank_rel = 1e-10:
+# without a roundoff term growing with kappa, gamma failed from 1e7 and recover and type3 from 1e7 to 1e8
+@settings(PROPERTY, max_examples=12)
+@given(n=st.sampled_from((6, 16, 48)), decades=st.floats(2.0, 9.0), seed=st.integers(0, 2**16))
+# the drawn examples stop short of the largest condition number, so each size also runs at it
+@example(n=6, decades=9.0, seed=1)
+@example(n=16, decades=9.0, seed=2)
+@example(n=48, decades=9.0, seed=3)
+def test_cli_gamma_recover_and_type3_pass_genuine_pairs_at_every_condition(tmp_path_factory, n, decades, seed):
+    directory = tmp_path_factory.mktemp("genuine")
+    f = generate_sequence(n, "spectrum", np.geomspace(1.0, 10.0**-decades, n), seed=seed).mat
+    e = generate_sequence(n, "onb", seed=seed + 1).mat
+    h = generate_sequence(n, "onb", seed=seed + 2).mat
+    paths = _files(directory, f=f, omega=h @ (e.conj().T @ f).T, e=e, h=h)
+    paths["cert"] = str(directory / "cert.json")
+    assert cli.run(["certify", paths["f"], paths["omega"], "--out", paths["cert"]]).verdict == "pass"
+    paths["q"] = str(directory / "q.json")
+    io.write_json(paths["q"], io.load_json(paths["cert"])["results"]["certificate"]["s_f_sqrt"])
+    reports = [
+        cli.run(["gamma", paths["f"], paths["omega"]]),
+        cli.run(["recover", paths["omega"], "--cert", paths["cert"]]),
+        cli.run(["rdual", "type3", paths["f"], "--e", paths["e"], "--h", paths["h"], "--q", paths["q"]]),
+    ]
+    failed = [(r.command, r.results.get("error"), r.residuals) for r in reports if r.verdict != "pass"]
+    assert failed == []
