@@ -432,7 +432,10 @@ def run(argv: list[str]) -> RunReport:
     report = RunReport(args.key, inputs, tol, results, residuals, verdict)
     if args.out is not None:
         # generate writes the sequence it drew; every other run, and a failed generate, its report
-        io.write_json(args.out, results.get("sequence", report.as_dict()))
+        try:
+            io.write_json(args.out, results.get("sequence", report.as_dict()))
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     return report
 
 

@@ -151,8 +151,8 @@ def certificate_from_payload(payload, tol: Tolerances) -> tuple[RDualCertificate
     under results.certificate. The extended root is factored here, by one
     SVD at tol, which the certificate carries to recovery. A bundle holds no
     f, so the certificate's fac_f is None: gamma_sequence factors the f it
-    is given, and inverts the root from the seeded SVD the certificate takes
-    on first use (RDualCertificate.fac_root).
+    is given, and inverts the root from that same SVD, plus one residual
+    step against the bundled matrix, as it does for a certified one.
     """
     if isinstance(payload, dict) and "results" in payload:
         results = payload["results"]

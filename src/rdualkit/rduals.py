@@ -36,24 +36,17 @@ closed form; a QOperator carries the SVD validate_q took of Q. So
 recover_symmetrical and recover_type_III invert from those SVDs and run no
 engine pass. gamma_sequence and coefficient_identity_check reuse the
 certificate's SVD of f when they get the certified f, and invert the root
-from a Jacobi SVD of its matrix M: on ill-conditioned pairs the closed-form
-inverse roughly doubled gamma's biorthogonality defect. That SVD is one
-pass of the engine on M U_w, taken on first use and kept on the
-certificate. Right-multiplying by the unitary U_w changes no singular value
-and leaves the columns of M U_w orthogonal to roundoff, so the pass starts
-near convergence, in 2 to 4 sweeps against 7 to 18 on M itself: the
-preconditioning of Drmac and Veselic ("New fast and accurate Jacobi SVD
-algorithm", SIAM J. Matrix Anal. Appl. 29(4), 2008).
+from the SVD it carries plus one residual step against its matrix
+(_ext_solve), so they run no engine pass either.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames, linalg
+from . import frames
 from .errors import (
     BoundsMismatch,
     CertificationFailed,
@@ -68,13 +61,13 @@ from .types import (
     DEFAULT_TOL,
     FrameBounds,
     OrthonormalBasis,
-    Svd,
     Tolerances,
     VectorSeq,
     as_operator,
     frobenius_norm,
     is_hermitian,
     pow2_exponent,
+    read_only,
     require_same_dim,
     singular_gap,
 )
@@ -137,21 +130,6 @@ class RDualCertificate:
         """
         return 3.0 * _roundoff(self.fac_ext)
 
-    @functools.cached_property
-    def fac_root(self) -> frames.FactoredSequence:
-        """The root's matrix M with a Jacobi SVD of it, taken on first use and kept; gamma inverts from it.
-
-        The engine runs on M W, with W = fac_ext.dec.left, whose columns are
-        orthogonal to roundoff: M W = U' diag(sigma) V'^H gives
-        M = U' diag(sigma) (W V')^H, so the right vectors are W V'. The rank
-        is fac_ext's; every use retakes it at its own tol.
-        """
-        w = self.fac_ext.dec.left
-        dec = linalg.svd(self.fac_ext.mat @ w)
-        return frames.FactoredSequence(
-            mat=self.fac_ext.mat, dec=Svd(dec.left, dec.singulars, w @ dec.right), rank=self.fac_ext.rank
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class AntiunitaryWitness:
@@ -182,6 +160,10 @@ class PairDecision:
     bases: tuple[OrthonormalBasis, OrthonormalBasis] | None
     type1_residual: float | None
     conjugation_residual: float | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "spectra_f", read_only(self.spectra_f, np.float64))
+        object.__setattr__(self, "spectra_omega", read_only(self.spectra_omega, np.float64))
 
 
 def _roundoff(fac: frames.FactoredSequence) -> float:
@@ -363,17 +345,30 @@ def _certified_parseval(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -
     return frames.parsevalize(f, tol)
 
 
+def _ext_solve(root: frames.FactoredSequence, x: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """E^-1 x for a certificate's extended root E: y = C x, then y + C (x - M y), M its matrix, C = _ext_inverse.
+
+    Forming M moved the SVD the root carries by about n eps sigma_1, so
+    C M - I grows with the root's condition number, and C alone roughly
+    doubled gamma's defect on ill-conditioned pairs. The one residual step
+    cancels that error to first order (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., ch. 12). Recovery applies C alone.
+    """
+    c = _ext_inverse(root, tol)
+    y = c @ x
+    return y + c @ (x - root.mat @ y)
+
+
 def gamma_sequence(f: VectorSeq, cert: RDualCertificate, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
     """The dual companion sequence biorthogonal to omega for Riesz bases.
 
     The inverse extended square root times the type-I dual of the
-    Parsevalized f under the certificate bases. The root is inverted from
-    the certificate's Jacobi SVD of it (RDualCertificate.fac_root).
+    Parsevalized f under the certificate bases. The root is inverted by
+    _ext_solve, so no engine pass runs on a certified f.
     """
     require_same_dim(f.dim, cert.e_basis.dim)
     g = _certified_parseval(f, cert, tol)
-    ext_inv = _ext_inverse(cert.fac_root, tol)
-    return VectorSeq(ext_inv @ rdual_type_I(g, cert.e_basis, cert.h_basis).mat)
+    return VectorSeq(_ext_solve(cert.fac_ext, rdual_type_I(g, cert.e_basis, cert.h_basis).mat, tol))
 
 
 def coefficient_identity_check(
@@ -383,12 +378,11 @@ def coefficient_identity_check(
 
     Compares <E^-1 omega_j, h_i>, for E the certificate's extended root,
     against <parsevalized f_i, e_j> over all index pairs; valid certificates
-    keep this at roundoff level. f and the root are factored as in
-    gamma_sequence.
+    keep this at roundoff level. f and the root are factored and inverted
+    as in gamma_sequence.
     """
     require_same_dim(f.dim, omega.dim, cert.e_basis.dim)
-    ext_inv = _ext_inverse(cert.fac_root, tol)
-    lhs = cert.h_basis.mat.conj().T @ ext_inv @ omega.mat
+    lhs = cert.h_basis.mat.conj().T @ _ext_solve(cert.fac_ext, omega.mat, tol)
     rhs = (cert.e_basis.mat.conj().T @ _certified_parseval(f, cert, tol).mat).T
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -52,6 +52,7 @@ from .types import (
     VectorSeq,
     as_operator,
     has_finite_moduli,
+    read_only,
     require_same_dim,
 )
 
@@ -102,6 +103,10 @@ class CoefficientReport:
     p: np.ndarray
     l1_a: float
     l1_c: float
+
+    def __post_init__(self):
+        for name in ("a", "c", "p"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,14 +38,13 @@ def has_finite_moduli(mat: np.ndarray) -> bool:
 
 def as_operator(a) -> np.ndarray:
     """Copy `a` into a read-only square complex matrix, rejecting entries whose modulus is not a finite float."""
-    mat = np.array(a, dtype=np.complex128, copy=True)
+    mat = read_only(a)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] < 1:
         raise ShapeError("dimension must be at least 1")
     if not has_finite_moduli(mat):
         raise ValueError("matrix entries must be finite")
-    mat.setflags(write=False)
     return mat
 
 
@@ -93,8 +92,9 @@ def require_orthonormal(cols: np.ndarray, tol: Tolerances, what: str) -> None:
         raise NotOrthonormal(f"{what} Gram deviates from identity by {defect:.3e}")
 
 
-def _freeze(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=np.complex128, copy=True)
+def read_only(a, dtype=np.complex128) -> np.ndarray:
+    """Copy a into a read-only array of dtype, as every value here keeps its arrays."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -206,10 +206,8 @@ class EigenDecomposition:
     vectors: np.ndarray
 
     def __post_init__(self):
-        ev = np.array(self.eigenvalues, dtype=np.float64, copy=True)
-        ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "vectors", _freeze(self.vectors))
+        object.__setattr__(self, "eigenvalues", read_only(self.eigenvalues, np.float64))
+        object.__setattr__(self, "vectors", read_only(self.vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,11 +227,9 @@ class Svd:
     right: np.ndarray
 
     def __post_init__(self):
-        sv = np.array(self.singulars, dtype=np.float64, copy=True)
-        sv.setflags(write=False)
-        object.__setattr__(self, "singulars", sv)
-        object.__setattr__(self, "left", _freeze(self.left))
-        object.__setattr__(self, "right", _freeze(self.right))
+        object.__setattr__(self, "singulars", read_only(self.singulars, np.float64))
+        object.__setattr__(self, "left", read_only(self.left))
+        object.__setattr__(self, "right", read_only(self.right))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +248,7 @@ class SubspaceOperator:
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        vb = np.array(self.v_basis, dtype=np.complex128, copy=True)
+        vb = read_only(self.v_basis)
         if vb.ndim != 2 or vb.shape[0] != self.ambient_dim:
             raise ShapeError(f"v_basis must be {self.ambient_dim} x k, got {vb.shape}")
         k = vb.shape[1]
@@ -265,7 +261,6 @@ class SubspaceOperator:
         if act.dim != k:
             raise DimensionMismatch(f"action is {act.dim} x {act.dim} but V has dimension {k}")
         require_orthonormal(vb, self.tol, "v_basis")
-        vb.setflags(write=False)
         object.__setattr__(self, "v_basis", vb)
         object.__setattr__(self, "action", act)
 

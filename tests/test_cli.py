@@ -420,6 +420,17 @@ def test_exit_codes(desk, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_out_is_a_usage_error(desk, tmp_path, capsys):
+    # the write raised FileNotFoundError, a traceback with exit status 1
+    runs = (["analyze", desk["eye"]], ["certify", desk["f"], desk["eye"]], ["generate", "--n", "2", "--kind", "onb"])
+    for argv in runs:
+        for out in (tmp_path / "missing" / "report.json", tmp_path):
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"usage error: cannot write --out {out}: ")
+
+
 def test_report_shape_and_determinism(desk, capsys):
     rc = cli.main(["certify", desk["f"], desk["w"]])
     captured = capsys.readouterr()

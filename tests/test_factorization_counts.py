@@ -74,17 +74,17 @@ def test_pair_operation_counts(counts, rank):
     # the certificate carries its root's SVD, so recovery factors nothing
     rduals.recover_symmetrical(omega, cert, s_f_sqrt)
     assert counts() == (0, 0, 0)
-    # gamma reuses certify's SVD of f and factors the root's matrix once, on
-    # first use, which the coefficient check then reuses
+    # gamma reuses certify's SVD of f and inverts the root from the SVD the
+    # certificate carries, as the coefficient check does, so neither factors
     rduals.gamma_sequence(f, cert)
-    assert counts() == (1, 1, 0)
+    assert counts() == (0, 0, 0)
     rduals.coefficient_identity_check(f, omega, cert)
     assert counts() == (0, 0, 0)
-    # on a fresh certificate the coefficient check takes the root's SVD itself
+    # nor does the coefficient check on a fresh certificate
     fresh = rduals.certify_symmetrical_pair(f, omega)
     counts()
     rduals.coefficient_identity_check(f, omega, fresh)
-    assert counts() == (1, 1, 0)
+    assert counts() == (0, 0, 0)
     assert rduals.decide_type_I_pair(f, omega).is_pair
     assert counts() == (1, 2, 0)
     assert not rduals.decide_type_I_pair(f_off, omega).is_pair
@@ -152,15 +152,23 @@ def test_cli_certify_counts(counts, tmp_path, capsys):
 
 
 def test_certificate_loading_counts(counts):
-    # a bundle's extended root is factored once, on loading; recovery reuses that SVD
+    # a bundle's extended root is factored once, on loading; recovery, gamma
+    # and the coefficient check reuse that SVD, and the latter two factor only
+    # an f that comes unfactored
     f, omega, _ = _pair(N)
+    fac_f = frames.FactoredSequence.of(f, DEFAULT_TOL)
     cert = rduals.certify_symmetrical_pair(f, omega)
-    payload = io.certificate_payload(cert, frames.FactoredSequence.of(f, DEFAULT_TOL).sqrt())
+    payload = io.certificate_payload(cert, fac_f.sqrt())
     counts()
     loaded, s_f_sqrt = io.certificate_from_payload(payload, DEFAULT_TOL)
     assert counts() == (1, 1, 0)
     rduals.recover_symmetrical(omega, loaded, s_f_sqrt)
     assert counts() == (0, 0, 0)
+    rduals.gamma_sequence(fac_f, loaded)
+    rduals.coefficient_identity_check(fac_f, omega, loaded)
+    assert counts() == (0, 0, 0)
+    rduals.gamma_sequence(f, loaded)
+    assert counts() == (1, 1, 0)
 
 
 @pytest.fixture
@@ -194,8 +202,9 @@ def cli_files(tmp_path):
 # gated above. Each input sequence is factored once, and two inputs of one
 # call together: f and omega, f and its dual for rdual type1, or f and Q for
 # rdual type3; recover factors the bundle's extended root on loading and the
-# recovered sequence, gamma factors the extended root once, for gamma_sequence
-# and the coefficient check, and reuses certify's SVD of f, and extend
+# recovered sequence, gamma factors its two inputs alone, since gamma_sequence
+# and the coefficient check invert the root from the SVD the certificate
+# carries and reuse certify's SVD of f, and extend
 # factors the action once, for the extension, its inverse and the norms it
 # gates. extend takes its two operator norms in one call, and the extended
 # inverse, whose top singular value 1/sigma_k repeats on the complement of V,
@@ -215,7 +224,7 @@ CLI_CASES = {
         "fail",
     ),
     "recover": (lambda p: ["recover", p["omega"], "--cert", p["cert"]], (2, 2), "pass"),
-    "gamma": (lambda p: ["gamma", p["f"], p["omega"]], (2, 3), "pass"),
+    "gamma": (lambda p: ["gamma", p["f"], p["omega"]], (1, 2), "pass"),
     "decide pair": (lambda p: ["decide", p["f"], p["omega"]], (1, 2), "pass"),
     "decide non-pair": (lambda p: ["decide", p["f_off"], p["omega"]], (1, 2), "pass"),
     "represent": (lambda p: ["represent", p["f"], p["omega"]], (1, 2), "measured"),

@@ -817,6 +817,21 @@ def test_engine_checks_and_scales_in_one_front_end():
     assert callers == {"linalg.py:svd", "linalg.py:operator_norm", "linalg.py:hermitian_eig"}
 
 
+def test_sequences_reach_the_engine_through_one_call_site():
+    # outside linalg, linalg.svd is called in FactoredSequence.of_all alone,
+    # so no operation keeps a second factorization of a matrix beside it
+    callers = []
+    for name, tree in _library_trees():
+        if name != "linalg.py":
+            owner = _owners(tree, name)
+            callers += [
+                owner.get(id(node))
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "linalg.svd"
+            ]
+    assert callers == ["frames.py:FactoredSequence.of_all"]
+
+
 def _names_read(fn) -> set:
     """The names fn's body reads, leaving out the p of a default p = p or ..."""
     body = [node for stmt in fn.body for node in ast.walk(stmt)]

@@ -372,8 +372,9 @@ def test_recovery_from_the_carried_root_matches_numpy(n, kappa, deficit):
 
 
 def test_gamma_biorthogonality_at_n48_kappa_1e6():
-    # gamma inverts the root from a Jacobi SVD of its matrix (about 6e-10
-    # here); the closed-form inverse the certificate carries reaches 1.4e-9
+    # gamma applies the closed-form inverse root plus one residual step
+    # (2.9e-10 here, 5.0e-10 from a cold Jacobi SVD of the root's matrix);
+    # the closed form alone reaches 1.25e-9
     f, omega = _typed_pair(48, 1e6, 0, seed=2)
     gam = rduals.gamma_sequence(f, rduals.certify_symmetrical_pair(f, omega))
     assert np.linalg.norm(frames.cross_gram(omega, gam) - np.eye(48)) <= DEFAULT_TOL.cert_rel
@@ -398,16 +399,28 @@ def _gamma_defect(omega, cert, gam, riesz):
 @pytest.mark.parametrize("kappa", [1e3, 1e6])
 @pytest.mark.parametrize("n", [16, 48])
 def test_gamma_from_the_seeded_root_is_no_less_accurate(n, kappa, deficit):
-    # gamma inverts the root from the certificate's Jacobi SVD of M U_w; a
-    # cold Jacobi SVD of M, the formula gamma used before, is the oracle
-    seeded, cold = [], []
+    # gamma inverts the root by the certificate's closed form, seeded into one
+    # residual step against its matrix M; a cold Jacobi SVD of M, the formula
+    # gamma used before, is the oracle
+    stepped, cold = [], []
     for draw in range(3):
         f, omega = _typed_pair(n, kappa, deficit, seed=97 * draw + n)
         cert = rduals.certify_symmetrical_pair(f, omega)
-        seeded.append(_gamma_defect(omega, cert, rduals.gamma_sequence(f, cert).mat, deficit == 0))
+        stepped.append(_gamma_defect(omega, cert, rduals.gamma_sequence(f, cert).mat, deficit == 0))
         cold.append(_gamma_defect(omega, cert, _gamma_from_cold_factors(f, cert), deficit == 0))
-    assert max(seeded) <= DEFAULT_TOL.cert_rel
-    assert max(seeded) <= max(cold)
+    assert max(stepped) <= DEFAULT_TOL.cert_rel
+    assert max(stepped) <= max(cold)
+
+
+@pytest.mark.parametrize("seed", [12, 43, 92])
+def test_gamma_needs_the_residual_step_at_kappa_1e6(seed):
+    # on these draws the closed-form inverse root alone misses the budget
+    # (1.05e-9 to 1.09e-9), and the residual step brings gamma to 1.7e-10 to 1.9e-10
+    f, omega = _typed_pair(16, 1e6, 0, seed)
+    cert = rduals.certify_symmetrical_pair(f, omega)
+    type1 = rduals.rdual_type_I(frames.parsevalize(cert.fac_f, DEFAULT_TOL), cert.e_basis, cert.h_basis)
+    assert _gamma_defect(omega, cert, cert.fac_ext.inverse() @ type1.mat, True) > DEFAULT_TOL.cert_rel
+    assert _gamma_defect(omega, cert, rduals.gamma_sequence(f, cert).mat, True) <= DEFAULT_TOL.cert_rel
 
 
 @pytest.mark.parametrize("deficit", [0, 2])

@@ -68,6 +68,15 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert len({x, y, x}) == 2
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_array_fields_are_read_only(name):
+    # a caller who wrote to a writable field changed what later operations
+    # read, such as the a-family represent_inv_sqrt sums
+    value = CONSTRUCTORS[name]()
+    arrays = [f.name for f in dataclasses.fields(value) if isinstance(getattr(value, f.name), np.ndarray)]
+    assert [a for a in arrays if getattr(value, a).flags.writeable] == []
+
+
 def test_scalar_values_keep_value_equality():
     assert Tolerances() == DEFAULT_TOL and len({Tolerances(), DEFAULT_TOL}) == 1
     assert FrameBounds(1.0, 2.0) == FrameBounds(1.0, 2.0)
