@@ -12,8 +12,8 @@ of the first frame operator, the first sequence comes back.
 
 import numpy as np
 
-from rdualkit import frames, linalg, rduals
-from rdualkit.types import VectorSeq
+from rdualkit import frames, rduals
+from rdualkit.types import DEFAULT_TOL, VectorSeq
 
 # the running desk example: diag(2,1) against the swapped pair
 f = VectorSeq(np.diag([2.0, 1.0]))
@@ -23,10 +23,17 @@ cert = rduals.certify_symmetrical_pair(f, omega)
 print("certificate residual: %.3e" % cert.residual)
 print("extended square root:\n", np.round(cert.s_omega_sqrt_ext.real, 6))
 
-# recovery uses the square root of f's frame operator
-s_f_sqrt = linalg.psd_sqrt(frames.frame_operator(f))
+# recovery uses the square root of f's frame operator, read off f's SVD
+s_f_sqrt = frames.FactoredSequence.of(f, DEFAULT_TOL).sqrt()
 back = rduals.recover_symmetrical(omega, cert, s_f_sqrt)
 print("recovery error: %.3e" % np.max(np.abs(back.mat - f.mat)))
+
+# the general type-III dual takes any Q whose norms fit f's frame bounds,
+# here the root of S_f followed by a rotation, and inverts the same way
+q = rduals.validate_q(np.array([[0.0, -1.0], [1.0, 0.0]]) @ s_f_sqrt, f)
+omega3 = rduals.rdual_type_III(f, cert.e_basis, cert.h_basis, q)
+back3 = rduals.recover_type_III(omega3, cert.e_basis, cert.h_basis, q, s_f_sqrt)
+print("type-III recovery error: %.3e" % np.max(np.abs(back3.mat - f.mat)))
 
 # for Riesz bases the companion sequence is biorthogonal to omega
 gam = rduals.gamma_sequence(f, cert)

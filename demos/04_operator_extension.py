@@ -18,7 +18,7 @@ from rdualkit.types import SubspaceOperator
 v_basis = np.eye(4)[:, :2]
 action = np.array([[3.0, 1.0], [1.0, 2.0]])
 
-phi = SubspaceOperator(4, v_basis, action)
+phi = SubspaceOperator(v_basis, action)
 ext = extension.extend_operator(phi)
 ext_inv = extension.extended_inverse(phi)
 

@@ -40,9 +40,6 @@ class RunReport:
     residuals: list = field(default_factory=list)
     verdict: str = PASS
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse normally exits the process; surface the message instead
@@ -295,7 +292,7 @@ def _cmd_decide(args, tol):
         e_basis, h_basis = decision.bases
         results["e_basis"] = io.sequence_payload(e_basis.mat)
         results["h_basis"] = io.sequence_payload(h_basis.mat)
-        results["witness_unitary"] = io.sequence_payload(decision.witness.unitary_part)
+        results["witness_unitary"] = io.sequence_payload(decision.witness_unitary)
         # the reproduction error scales as sigma_max, the conjugation error, a
         # frame-operator quantity, as sigma_max^2
         sigma_max_sq = max(float(decision.spectra_f[0]), float(decision.spectra_omega[0]))
@@ -351,7 +348,7 @@ def _cmd_extend(args, tol):
     # the action is factored once; the extension and its inverse reuse that SVD
     (action,) = _factored([args.phi], tol)
     v_basis = io.parse_partial_matrix(args.vbasis)
-    sub = SubspaceOperator(v_basis.shape[0], v_basis, action, tol=tol)
+    sub = SubspaceOperator(v_basis, action, tol=tol)
     ext = extension.extend_operator(sub, tol)
     ext_inv = extension.extended_inverse(sub, tol)
     sv = action.dec.singulars
@@ -433,7 +430,7 @@ def run(argv: list[str]) -> RunReport:
     if args.out is not None:
         # generate writes the sequence it drew; every other run, and a failed generate, its report
         try:
-            io.write_json(args.out, results.get("sequence", report.as_dict()))
+            io.write_json(args.out, results.get("sequence", asdict(report)))
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     return report
@@ -448,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ShapeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
+    print(json.dumps(asdict(report), sort_keys=True, indent=2))
     print(f"{report.command}: {report.verdict}", file=sys.stderr)
     return 0 if report.verdict != FAIL else 1
 

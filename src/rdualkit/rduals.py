@@ -132,31 +132,20 @@ class RDualCertificate:
 
 
 @dataclass(frozen=True, eq=False)
-class AntiunitaryWitness:
-    """Acts as x -> unitary_part @ conj(x): entrywise conjugation, then a unitary."""
-
-    unitary_part: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "unitary_part", as_operator(self.unitary_part))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.unitary_part @ np.conj(x)
-
-
-@dataclass(frozen=True, eq=False)
 class PairDecision:
     """Outcome of the type-I pair test with the verifying witnesses when true.
 
-    spectra are frame-operator eigenvalues, descending. The two residual
+    spectra are frame-operator eigenvalues, descending. witness_unitary is
+    the unitary U of the antiunitary witness x -> U conj(x), entrywise
+    conjugation then U, which conjugates S_f into S_omega. The two residual
     fields record how well the constructed bases reproduce omega and how well
-    the antiunitary witness conjugates one frame operator into the other.
+    that witness conjugates one frame operator into the other.
     """
 
     is_pair: bool
     spectra_f: np.ndarray
     spectra_omega: np.ndarray
-    witness: AntiunitaryWitness | None
+    witness_unitary: np.ndarray | None
     bases: tuple[OrthonormalBasis, OrthonormalBasis] | None
     type1_residual: float | None
     conjugation_residual: float | None
@@ -164,6 +153,8 @@ class PairDecision:
     def __post_init__(self):
         object.__setattr__(self, "spectra_f", read_only(self.spectra_f, np.float64))
         object.__setattr__(self, "spectra_omega", read_only(self.spectra_omega, np.float64))
+        if self.witness_unitary is not None:
+            object.__setattr__(self, "witness_unitary", read_only(self.witness_unitary))
 
 
 def _roundoff(fac: frames.FactoredSequence) -> float:
@@ -394,10 +385,10 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT
     singular-value multisets (zeros included, which carries the kernel
     dimension condition), to cert_rel relative to the larger of the two
     largest singular values, so the verdict is the same for (c f, c omega)
-    at every scale c. On success the aligned bases reproduce omega and an
-    antiunitary witness conjugates one frame operator into the other; its
-    unitary part U_w U_f^T maps the left singular vectors of f, conjugated,
-    onto those of omega.
+    at every scale c. On success the aligned bases reproduce omega and the
+    antiunitary map x -> U conj(x) conjugates one frame operator into the
+    other; U = U_w U_f^T, the decision's witness_unitary, maps the left
+    singular vectors of f, conjugated, onto those of omega.
     """
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
     dec_f, dec_w = fac_f.dec, fac_w.dec
@@ -408,7 +399,7 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT
             is_pair=False,
             spectra_f=spectra_f,
             spectra_omega=spectra_w,
-            witness=None,
+            witness_unitary=None,
             bases=None,
             type1_residual=None,
             conjugation_residual=None,
@@ -423,15 +414,14 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT
     scale = np.ldexp(1.0, -e)
     s_f = frames.frame_operator(VectorSeq(scale * f.mat))
     s_w = frames.frame_operator(VectorSeq(scale * omega.mat))
-    unitary_part = dec_w.left @ dec_f.left.T
-    witness = AntiunitaryWitness(unitary_part=unitary_part)
-    conj_residual = float(np.ldexp(frobenius_norm(s_w @ unitary_part - unitary_part @ np.conj(s_f)), 2 * e))
+    u = dec_w.left @ dec_f.left.T
+    conj_residual = float(np.ldexp(frobenius_norm(s_w @ u - u @ np.conj(s_f)), 2 * e))
 
     return PairDecision(
         is_pair=True,
         spectra_f=spectra_f,
         spectra_omega=spectra_w,
-        witness=witness,
+        witness_unitary=u,
         bases=(e_basis, h_basis),
         type1_residual=type1_residual,
         conjugation_residual=conj_residual,

@@ -236,24 +236,24 @@ class Svd:
 class SubspaceOperator:
     """An invertible operator on a k-dimensional subspace V of C^n.
 
-    v_basis columns span V and must be orthonormal; action is the operator
-    in v_basis coordinates, given as a k x k matrix or a VectorSeq and kept
-    as a VectorSeq. An action that comes factored (frames.FactoredSequence)
+    v_basis is n x k: its k columns span V and must be orthonormal, and its
+    n rows fix the ambient dimension. action is the operator in v_basis
+    coordinates, given as a k x k matrix or a VectorSeq and kept as a
+    VectorSeq. An action that comes factored (frames.FactoredSequence)
     keeps its SVD, which the extension then reuses.
     """
 
-    ambient_dim: int
     v_basis: np.ndarray
     action: VectorSeq
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         vb = read_only(self.v_basis)
-        if vb.ndim != 2 or vb.shape[0] != self.ambient_dim:
-            raise ShapeError(f"v_basis must be {self.ambient_dim} x k, got {vb.shape}")
-        k = vb.shape[1]
-        if not (1 <= k <= self.ambient_dim):
-            raise ShapeError(f"subspace dimension must lie in 1..{self.ambient_dim}, got {k}")
+        if vb.ndim != 2:
+            raise ShapeError(f"v_basis must be an n x k matrix, got shape {vb.shape}")
+        n, k = vb.shape
+        if not (1 <= k <= n):
+            raise ShapeError(f"subspace dimension must lie in 1..{n}, got {k}")
         # its Gram product below would overflow on an entry of infinite modulus
         if not has_finite_moduli(vb):
             raise ValueError("v_basis entries must be finite")
@@ -263,6 +263,10 @@ class SubspaceOperator:
         require_orthonormal(vb, self.tol, "v_basis")
         object.__setattr__(self, "v_basis", vb)
         object.__setattr__(self, "action", act)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.v_basis.shape[0]
 
     @property
     def subspace_dim(self) -> int:

@@ -107,7 +107,7 @@ def test_criterion_3_operator_extension():
             action = action + action.conj().T + 3.0 * np.eye(k)
         else:
             action = action + np.sqrt(k) * 1.5 * np.eye(k)
-        phi = SubspaceOperator(n, v_basis, action)
+        phi = SubspaceOperator(v_basis, action)
         ext = extension.extend_operator(phi)
         ext_inv = extension.extended_inverse(phi)
         sv = np.linalg.svd(action, compute_uv=False)

@@ -23,7 +23,8 @@ front end, which a source scan pins.
 numpy.linalg appears here as an independent oracle only; the library itself
 calls no numpy.linalg function but norm, which the source scan below checks.
 A second scan checks that every library function reads each parameter it
-takes, so no option is accepted and ignored.
+takes, so no option is accepted and ignored, and a third that every public
+function is called from the library or the demos, a short listed set aside.
 """
 
 import ast
@@ -830,6 +831,67 @@ def test_sequences_reach_the_engine_through_one_call_site():
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "linalg.svd"
             ]
     assert callers == ["frames.py:FactoredSequence.of_all"]
+
+
+# public functions that nothing but the tests calls; pruning them (ROADMAP) empties this set
+TEST_ONLY_FUNCTIONS = {
+    "frames.canonical_dual",
+    "frames.verify_dual_pair",
+    "linalg.complete_to_onb",
+    "linalg.inverse",
+    "linalg.psd_pinv_sqrt",
+    "linalg.psd_sqrt",
+    "representation.bessel_bound_of_family",
+}
+
+
+def _calls_in(path: pathlib.Path, modules: set, own: dict) -> set:
+    """The "module.function" names of the library called in path, as module.f(...) or as f(...) imported or own."""
+    tree = ast.parse(path.read_text())
+    aliases, functions = {}, dict(own)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rdualkit")):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if source in ("", "rdualkit") and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif source in modules:
+                    functions[alias.asname or alias.name] = f"{source}.{alias.name}"
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions:
+            called.add(functions[node.func.id])
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in aliases
+        ):
+            called.add(f"{aliases[node.func.value.id]}.{node.func.attr}")
+    return called
+
+
+def test_every_public_function_is_called_outside_the_tests():
+    # a public function no construction, CLI command or demo calls is kept
+    # alive by its tests alone; a method of the same name, such as
+    # FactoredSequence.inverse, is not a call of linalg.inverse
+    paths = sorted(pathlib.Path(rdualkit.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    public = {
+        path.stem: {
+            node.name
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
+        for path in paths
+    }
+    called = set()
+    for path in paths:
+        called |= _calls_in(path, modules, {fn: f"{path.stem}.{fn}" for fn in public[path.stem]})
+    for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py")):
+        called |= _calls_in(path, modules, {})
+    defined = {f"{module}.{fn}" for module, fns in public.items() for fn in fns}
+    assert defined - called == TEST_ONLY_FUNCTIONS
 
 
 def _names_read(fn) -> set:

@@ -502,9 +502,9 @@ def test_decide_matched_spectrum():
     assert np.linalg.norm(again.mat - w.mat) <= 1e-9
     # antiunitary conjugation witnessed on a random vector
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    lam = decision.witness
-    lhs = frames.frame_operator(w) @ lam.apply(x)
-    rhs = lam.apply(frames.frame_operator(f) @ x)
+    u = decision.witness_unitary
+    lhs = frames.frame_operator(w) @ (u @ np.conj(x))
+    rhs = u @ np.conj(frames.frame_operator(f) @ x)
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(x)
 
 
@@ -513,7 +513,7 @@ def test_decide_spectrum_mismatch():
     w = VectorSeq(np.diag([np.sqrt(2.0), np.sqrt(2.0)]))
     decision = rduals.decide_type_I_pair(f, w)
     assert not decision.is_pair
-    assert decision.witness is None and decision.bases is None
+    assert decision.witness_unitary is None and decision.bases is None
 
 
 def test_decide_is_scale_invariant():

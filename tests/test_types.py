@@ -44,11 +44,10 @@ CONSTRUCTORS = {
     "OrthonormalBasis": lambda: OrthonormalBasis(np.eye(2)),
     "EigenDecomposition": lambda: linalg.hermitian_eig(np.diag([1.0, 2.0])),
     "Svd": lambda: linalg.svd(np.eye(2)),
-    "SubspaceOperator": lambda: SubspaceOperator(2, np.eye(2)[:, :1], np.eye(1)),
+    "SubspaceOperator": lambda: SubspaceOperator(np.eye(2)[:, :1], np.eye(1)),
     "FactoredSequence": lambda: frames.FactoredSequence.of(VectorSeq(np.eye(2)), DEFAULT_TOL),
     "QOperator": lambda: rduals.validate_q(np.eye(2), VectorSeq(np.eye(2))),
     "RDualCertificate": _certificate,
-    "AntiunitaryWitness": lambda: rduals.decide_type_I_pair(*_pair()[:2]).witness,
     "PairDecision": lambda: rduals.decide_type_I_pair(*_pair()[:2]),
     "ShiftFamily": lambda: _representation()[0],
     "CoefficientReport": lambda: _representation()[1],
