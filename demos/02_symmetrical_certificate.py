@@ -7,7 +7,9 @@ symmetrical dual relation: there are orthonormal bases e, h and the extended
 square root of the second sequence's frame operator reproducing it from the
 first. The certificate holds those three witnesses plus the verification
 residual, and the relation inverts: from the certificate and the square root
-of the first frame operator, the first sequence comes back.
+of the first frame operator, the first sequence comes back. Read the other
+way round, the pair has the same bases swapped, so the second sequence comes
+back from the first as well.
 """
 
 import numpy as np
@@ -27,6 +29,15 @@ print("extended square root:\n", np.round(cert.s_omega_sqrt_ext.real, 6))
 s_f_sqrt = frames.FactoredSequence.of(f, DEFAULT_TOL).sqrt()
 back = rduals.recover_symmetrical(omega, cert, s_f_sqrt)
 print("recovery error: %.3e" % np.max(np.abs(back.mat - f.mat)))
+
+# the relation is symmetrical: certifying the pair the other way round gives the
+# same bases swapped, and recovers omega from f through them and the root of S_omega
+swapped = rduals.certify_symmetrical_pair(omega, f)
+same = np.array_equal(swapped.e_basis.mat, cert.h_basis.mat) and np.array_equal(swapped.h_basis.mat, cert.e_basis.mat)
+print("certify(omega, f) has the bases of certify(f, omega) swapped:", same)
+s_omega_sqrt = frames.FactoredSequence.of(omega, DEFAULT_TOL).sqrt()
+back_w = rduals.recover_symmetrical(f, swapped, s_omega_sqrt)
+print("recovery error of omega from f: %.3e" % np.max(np.abs(back_w.mat - omega.mat)))
 
 # the general type-III dual takes any Q whose norms fit f's frame bounds,
 # here the root of S_f followed by a rotation, and inverts the same way

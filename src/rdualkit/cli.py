@@ -208,7 +208,7 @@ def _cmd_rdual_type3(args, tol):
     f, q_seq = frames.FactoredSequence.of_all([f, io.parse_sequence(args.q)], tol)
     q = rduals.validate_q(q_seq, f, tol)
     out = rduals.rdual_type_III(f, e, h, q, tol)
-    bf = q.validated_against
+    bf = q.validated_against.bounds()
     bw = frames.optimal_bounds(out, tol)
     # the bounds are squared singular values, so their error scales as sigma_max^2
     budget = tol.cert_rel * max(bf.upper, bw.upper)
@@ -218,7 +218,7 @@ def _cmd_rdual_type3(args, tol):
     ]
     results = {
         "omega": io.sequence_payload(out.mat),
-        "validated_bounds": _bounds_dict(q.validated_against),
+        "validated_bounds": _bounds_dict(bf),
         "q_roundoff": q.roundoff,
     }
     return results, residuals
@@ -267,7 +267,7 @@ def _cmd_gamma(args, tol):
     gam = rduals.gamma_sequence(f, cert, tol)
     biorth = float(np.linalg.norm(frames.cross_gram(omega, gam) - np.eye(omega.dim)))
     coeff_gap = rduals.coefficient_identity_check(f, omega, cert, tol)
-    riesz = omega.rank == omega.dim
+    riesz = cert.fac_f.rank == omega.dim
     # both are Parseval-scale quantities: cert_rel plus the roundoff of inverting the root
     gate = tol.cert_rel + cert.roundoff
     residuals = [
@@ -284,8 +284,9 @@ def _cmd_decide(args, tol):
     decision = rduals.decide_type_I_pair(f, omega, tol)
     results = {
         "is_pair": decision.is_pair,
-        "spectra_f": [float(v) for v in decision.spectra_f],
-        "spectra_omega": [float(v) for v in decision.spectra_omega],
+        # the squares the report prints, where BoundsOutOfRange can arise
+        "spectra_f": [float(v) for v in f.spectrum()],
+        "spectra_omega": [float(v) for v in omega.spectrum()],
     }
     residuals = []
     if decision.is_pair:
@@ -295,7 +296,7 @@ def _cmd_decide(args, tol):
         results["witness_unitary"] = io.sequence_payload(decision.witness_unitary)
         # the reproduction error scales as sigma_max, the conjugation error, a
         # frame-operator quantity, as sigma_max^2
-        sigma_max_sq = max(float(decision.spectra_f[0]), float(decision.spectra_omega[0]))
+        sigma_max_sq = max(results["spectra_f"][0], results["spectra_omega"][0])
         residuals = [
             _residual("type1_reproduction", decision.type1_residual, tol.cert_rel * np.sqrt(sigma_max_sq)),
             _residual("conjugation", decision.conjugation_residual, tol.cert_rel * sigma_max_sq),

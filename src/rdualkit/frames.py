@@ -16,9 +16,12 @@ stack the factors of a call on it alone, so this saves calls and changes no
 bit. FactoredSequence.of is its one-element case, and the only path from
 this module to the engine.
 Inputs of one dimension are types.require_same_dim's test. The closed
-forms that need rank >= 1, bounds, parseval, sqrt_ext and canonical_dual,
-raise ZeroSequence at rank 0, as inverse raises SingularAction short of
-full rank, so no caller tests the rank first.
+forms that need rank >= 1, extremes, bounds, parseval, sqrt_ext and
+canonical_dual, raise ZeroSequence at rank 0, as inverse raises
+SingularAction short of full rank, so no caller tests the rank first.
+A pair's two factorizations share one rank (rduals.certify_symmetrical_pair).
+Decisions read sigma by extremes; bounds and spectrum square it, for
+reports, and only they raise BoundsOutOfRange.
 """
 
 from __future__ import annotations
@@ -116,13 +119,17 @@ class FactoredSequence(VectorSeq):
         self._check_squares()
         return self.dec.singulars**2
 
-    def bounds(self) -> FrameBounds:
-        """Optimal bounds sigma_r^2 and sigma_1^2; raises ZeroSequence at rank 0, then as _check_squares."""
+    def extremes(self) -> np.ndarray:
+        """sigma_1 and sigma_r, the roots of the bounds, which decisions read; raises ZeroSequence at rank 0."""
         r = self._nonzero_rank("frame bounds")
+        return self.dec.singulars[[0, r - 1]]
+
+    def bounds(self) -> FrameBounds:
+        """Optimal bounds sigma_r^2 and sigma_1^2, for reports; raises as extremes, then as _check_squares."""
+        upper, lower = self.extremes()
         self._check_squares()
-        sv = self.dec.singulars
         # scalar squares: numpy's array square, as in spectrum, can differ from them in the last bit
-        return FrameBounds(lower=float(sv[r - 1] ** 2), upper=float(sv[0] ** 2))
+        return FrameBounds(lower=float(lower**2), upper=float(upper**2))
 
     def _nonzero_rank(self, what: str) -> int:
         """The rank, or ZeroSequence when it is 0; what names the value a zero sequence lacks."""

@@ -10,29 +10,30 @@ root reproducing the dual sequence column by column.
 
 One map carries all of it, rdual_type_I, which the same map under the
 swapped bases undoes. Every other dual map is an operator times one call
-to it: rdual_type_III is Q times the map of the Parsevalized f,
-gamma_sequence the same with the inverse extended root as Q, and both
-recoveries the root of S_f times the map of Q^-1 omega under (h, e).
-certify_symmetrical_pair reproduces omega by rdual_type_III with Q the
-extended root, decide_type_I_pair by rdual_type_I, and both recoveries
-run one body, _recover, which checks that the root of S_f is Hermitian
-before Q is inverted. Each other precondition is checked in its one home:
+to it: rdual_type_III is Q times the map of the Parsevalized f, certify's
+reproduction of omega and gamma_sequence the same with Q the extended root
+and its inverse, and both recoveries the root of S_f times the map of
+Q^-1 omega under (h, e). decide_type_I_pair reproduces omega by
+rdual_type_I, and both recoveries run one body, _recover, which checks that
+the root of S_f is Hermitian before Q is inverted. Each other precondition is checked in its one home:
 equal dimensions by types.require_same_dim, orthonormal bases by
-OrthonormalBasis, and a nonzero f or omega by the FactoredSequence bounds
+OrthonormalBasis, and a nonzero f or omega by the FactoredSequence extremes
 and Parsevalization these operations read, which raise ZeroSequence.
+A pair has one rank, the smaller of the two, which certify_symmetrical_pair
+decides once and its certificate carries in fac_f. Decisions compare
+singular values, never their squares, which are formed for reports only.
 
 Each operation factors every input sequence once (frames.FactoredSequence)
 and builds the bases, the extended square root and the pair witness from
 those SVDs in closed form; no eigendecomposition runs here. The independent
 matrices of one operation are factored together, in one stacked engine call
 (FactoredSequence.of_all): f and omega in certify_symmetrical_pair and
-decide_type_I_pair, f and Q in validate_q, which reads the frame bounds of f
-off that factorization.
+decide_type_I_pair, f and Q in validate_q.
 
 The values keep the factorizations they were built from. A certificate
-keeps certify_symmetrical_pair's SVD of f, and its extended root carries
-the SVD U_w diag(sigma_1..sigma_r, sigma_r, ...) U_w^H that certify has in
-closed form; a QOperator carries the SVD validate_q took of Q. So
+keeps certify_symmetrical_pair's SVD of f, at the pair rank, and its
+extended root carries the SVD U_w diag(sigma_1..sigma_r, sigma_r, ...) U_w^H
+that certify has in closed form; a QOperator carries the SVDs validate_q took of Q and f. So
 recover_symmetrical and recover_type_III invert from those SVDs and run no
 engine pass. gamma_sequence and coefficient_identity_check reuse the
 certificate's SVD of f when they get the certified f, and invert the root
@@ -42,7 +43,7 @@ from the SVD it carries plus one residual step against its matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,7 +60,6 @@ from .errors import (
 )
 from .types import (
     DEFAULT_TOL,
-    FrameBounds,
     OrthonormalBasis,
     Tolerances,
     VectorSeq,
@@ -75,14 +75,14 @@ from .types import (
 
 @dataclass(frozen=True, eq=False)
 class QOperator:
-    """An invertible operator whose norms fit inside given frame bounds.
+    """An invertible operator whose norms fit inside the frame bounds of a sequence.
 
-    fac_q is Q with the SVD validate_q took of it, or a certificate's
-    extended root with its closed-form SVD; q is its matrix.
+    fac_q is Q and validated_against that sequence, each with the SVD
+    validate_q took of it; q is Q's matrix.
     """
 
     fac_q: frames.FactoredSequence
-    validated_against: FrameBounds
+    validated_against: frames.FactoredSequence
 
     @property
     def q(self) -> np.ndarray:
@@ -104,9 +104,9 @@ class RDualCertificate:
     Jacobi SVD of the matrix when loaded from a bundle. s_omega_sqrt_ext is
     its matrix, read off fac_ext, so the two cannot drift apart. residual is
     the verification defect of the reproduction identity. fac_f is the
-    certified f with the SVD certify_symmetrical_pair took of it, and
-    budget the bound it held the residual to; both are None for a
-    certificate loaded from a bundle, which carries neither.
+    certified f with the SVD certify_symmetrical_pair took of it, at the
+    pair's rank, and budget the bound it held the residual to; both are None
+    for a certificate loaded from a bundle, which carries neither.
     """
 
     e_basis: OrthonormalBasis
@@ -135,24 +135,20 @@ class RDualCertificate:
 class PairDecision:
     """Outcome of the type-I pair test with the verifying witnesses when true.
 
-    spectra are frame-operator eigenvalues, descending. witness_unitary is
-    the unitary U of the antiunitary witness x -> U conj(x), entrywise
-    conjugation then U, which conjugates S_f into S_omega. The two residual
-    fields record how well the constructed bases reproduce omega and how well
-    that witness conjugates one frame operator into the other.
+    witness_unitary is the unitary U of the antiunitary witness
+    x -> U conj(x), entrywise conjugation then U, which conjugates S_f into
+    S_omega. The two residual fields record how well the constructed bases
+    reproduce omega and how well that witness conjugates one frame operator
+    into the other; the second is in sigma^2 units, inf where sigma_1^2 overflows.
     """
 
     is_pair: bool
-    spectra_f: np.ndarray
-    spectra_omega: np.ndarray
     witness_unitary: np.ndarray | None
     bases: tuple[OrthonormalBasis, OrthonormalBasis] | None
     type1_residual: float | None
     conjugation_residual: float | None
 
     def __post_init__(self):
-        object.__setattr__(self, "spectra_f", read_only(self.spectra_f, np.float64))
-        object.__setattr__(self, "spectra_omega", read_only(self.spectra_omega, np.float64))
         if self.witness_unitary is not None:
             object.__setattr__(self, "witness_unitary", read_only(self.witness_unitary))
 
@@ -161,12 +157,6 @@ def _roundoff(fac: frames.FactoredSequence) -> float:
     """n eps sigma_1 / sigma_n for an invertible fac: the relative roundoff of forming it or applying its inverse."""
     sv = fac.dec.singulars
     return fac.dim * np.finfo(np.float64).eps * sv[0] / sv[-1]
-
-
-def _bounds_close(a: FrameBounds, b: FrameBounds, tol: Tolerances) -> bool:
-    # the bounds are sigma_r^2 and sigma_1^2, so singular_gap compares their square roots
-    gap, budget = singular_gap(np.sqrt([a.upper, a.lower]), np.sqrt([b.upper, b.lower]), tol)
-    return gap <= budget
 
 
 def _aligned_bases(
@@ -197,35 +187,34 @@ def validate_q(q, f: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> QOperator:
     (1 + cert_rel) slack absorbs roundoff at the boundary. The second slack
     adds QOperator.roundoff, n eps sigma_1 / sigma_n of Q: a Q formed as
     U diag(sigma) U^H, such as the root of S_f, carries an error of order
-    eps sigma_1, which moves sigma_n by that much relative. The bounds come
-    from the SVD of f (frames.FactoredSequence), at its rank threshold. Q
-    is a matrix or a sequence; f and Q are factored in one stacked call,
-    which reuses the SVD of either when it comes in factored, and must share
-    one dimension. A zero f raises ZeroSequence, from its bounds.
+    eps sigma_1, which moves sigma_n by that much relative. The roots of the
+    bounds, sigma_1 and sigma_r, come unsquared from the SVD of f, at its
+    rank threshold. Q is a matrix or a sequence; f and Q are factored in one
+    stacked call, which reuses the SVD of either when it comes in factored,
+    and must share one dimension. A zero f raises ZeroSequence.
     """
     fac, fac_q = frames.FactoredSequence.of_all((f, q if isinstance(q, VectorSeq) else VectorSeq(q)), tol)
-    bounds = fac.bounds()
+    upper, lower = fac.extremes()
 
     if fac_q.rank < fac_q.dim:
         raise QSingular("Q is singular at the working rank threshold")
     sv = fac_q.dec.singulars
     slack = 1.0 + tol.cert_rel
-    if sv[0] > np.sqrt(bounds.upper) * slack:
-        raise QTooLarge(f"norm(Q) = {sv[0]:.6g} exceeds sqrt(upper bound) = {np.sqrt(bounds.upper):.6g}")
-    if 1.0 / sv[-1] > (slack + _roundoff(fac_q)) / np.sqrt(bounds.lower):
-        raise QInverseTooLarge(
-            f"norm(Q^-1) = {1.0 / sv[-1]:.6g} exceeds sqrt(1/lower bound) = {1.0 / np.sqrt(bounds.lower):.6g}"
-        )
-    return QOperator(fac_q=fac_q, validated_against=bounds)
+    if sv[0] > upper * slack:
+        raise QTooLarge(f"norm(Q) = {sv[0]:.6g} exceeds sqrt(upper bound) = {upper:.6g}")
+    if 1.0 / sv[-1] > (slack + _roundoff(fac_q)) / lower:
+        raise QInverseTooLarge(f"norm(Q^-1) = {1.0 / sv[-1]:.6g} exceeds sqrt(1/lower bound) = {1.0 / lower:.6g}")
+    return QOperator(fac_q=fac_q, validated_against=fac)
 
 
 def rdual_type_III(
     f: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis, q: QOperator, tol: Tolerances = DEFAULT_TOL
 ) -> VectorSeq:
-    """Type-III dual: Q times the type-I dual of the Parsevalized f under (e, h)."""
+    """Type-III dual: Q times the type-I dual of the Parsevalized f under (e, h); f must have Q's validated extremes."""
     require_same_dim(f.dim, e.dim, h.dim, q.q.shape[0])
     fac = frames.FactoredSequence.of(f, tol)
-    if not _bounds_close(fac.bounds(), q.validated_against, tol):
+    gap, budget = singular_gap(fac.extremes(), q.validated_against.extremes(), tol)
+    if gap > budget:
         raise BoundsMismatch("Q was validated against a different frame operator")
     return VectorSeq(q.q @ rdual_type_I(VectorSeq(fac.parseval()), e, h).mat)
 
@@ -270,31 +259,37 @@ def recover_type_III(
 def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> RDualCertificate:
     """Construct and verify the symmetrical type-III relation between f and omega.
 
-    Requires equal ranks and equal optimal bounds. With f = U_f S_f V_f^H
-    and omega = U_w S_w V_w^H, the bases are e = U_f V_w^T and
-    h = U_w V_f^T, which carry the Parsevalized f onto the Parsevalized
-    omega; the operator is the square root of omega's frame operator
-    extended from span(omega), which the certificate keeps with its SVD.
-    All three come from the two SVDs, taken in one stacked call. The
-    returned residual measures the reproduction of omega by rdual_type_III
-    with that root as Q, and must sit inside the certification budget.
+    Both are read at one rank r, the smaller of theirs, since a sigma at the
+    rank threshold may land on either side of it: their sigma_{r+1} must
+    agree, else RankMismatch, and so must (sigma_1, sigma_r), else
+    BoundsMismatch, each to singular_gap's budget; interior values are free.
+    With f = U_f S_f V_f^H and omega = U_w S_w V_w^H, the bases are
+    e = U_f V_w^T and h = U_w V_f^T, which carry the Parsevalized f onto the
+    Parsevalized omega; the root of omega's frame operator extended from its
+    rank-r span, kept with its SVD, times the type-I dual of the
+    Parsevalized f must reproduce omega inside the certification budget.
+    All three come from the two SVDs, taken in one stacked call.
     """
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
-    if fac_f.rank != fac_w.rank:
+    sv_f, sv_w = fac_f.dec.singulars, fac_w.dec.singulars
+    r = min(fac_f.rank, fac_w.rank)
+    # singular_gap's budget, cert_rel times the larger sigma_1, which a zero sequence also has
+    _, budget = singular_gap(sv_f[:1], sv_w[:1], tol)
+    if fac_f.rank != fac_w.rank and abs(sv_f[r] - sv_w[r]) > budget:
         raise RankMismatch(f"ranks differ: {fac_f.rank} vs {fac_w.rank}")
-    bounds_f = fac_f.bounds()
-    bounds_w = fac_w.bounds()
-    if not _bounds_close(bounds_f, bounds_w, tol):
+    fac_f, fac_w = (replace(fac, rank=r) for fac in (fac_f, fac_w))
+    ext_f, ext_w = fac_f.extremes(), fac_w.extremes()
+    gap, budget = singular_gap(ext_f, ext_w, tol)
+    if gap > budget:
         raise BoundsMismatch(
-            f"optimal bounds differ: ({bounds_f.lower:.6g}, {bounds_f.upper:.6g})"
-            f" vs ({bounds_w.lower:.6g}, {bounds_w.upper:.6g})"
+            f"optimal bounds differ: sigma_r, sigma_1 = ({ext_f[1]:.6g}, {ext_f[0]:.6g})"
+            f" vs ({ext_w[1]:.6g}, {ext_w[0]:.6g})"
         )
 
     e_basis, h_basis = _aligned_bases(fac_f, fac_w, tol)
     fac_ext = fac_w.sqrt_ext()
-    # the root's norms are sigma_1 and 1 / sigma_r of omega, so omega's bounds validate it exactly
-    q = QOperator(fac_ext, bounds_w)
-    residual = frobenius_norm(omega.mat - rdual_type_III(fac_f, e_basis, h_basis, q, tol).mat)
+    reproduction = fac_ext.mat @ rdual_type_I(VectorSeq(fac_f.parseval()), e_basis, h_basis).mat
+    residual = frobenius_norm(omega.mat - reproduction)
     # the reproduction is omega to roundoff relative to omega's norm, at every scale
     budget = tol.cert_rel * frobenius_norm(omega.mat)
     if residual > budget:
@@ -330,9 +325,9 @@ def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol:
 
 
 def _certified_parseval(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -> VectorSeq:
-    """The Parsevalized f: from certify's SVD when f is the certified sequence, array for array, else from one pass."""
+    """The Parsevalized f: from certify's SVD at the pair rank for the certified f (array-equal), else by one pass."""
     if cert.fac_f is not None and np.array_equal(f.mat, cert.fac_f.mat):
-        f = cert.fac_f
+        return VectorSeq(cert.fac_f.parseval())
     return frames.parsevalize(f, tol)
 
 
@@ -392,13 +387,10 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT
     """
     fac_f, fac_w = frames.FactoredSequence.of_all((f, omega), tol)
     dec_f, dec_w = fac_f.dec, fac_w.dec
-    spectra_f, spectra_w = fac_f.spectrum(), fac_w.spectrum()
     gap, budget = singular_gap(dec_f.singulars, dec_w.singulars, tol)
     if gap > budget:
         return PairDecision(
             is_pair=False,
-            spectra_f=spectra_f,
-            spectra_omega=spectra_w,
             witness_unitary=None,
             bases=None,
             type1_residual=None,
@@ -415,12 +407,11 @@ def decide_type_I_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT
     s_f = frames.frame_operator(VectorSeq(scale * f.mat))
     s_w = frames.frame_operator(VectorSeq(scale * omega.mat))
     u = dec_w.left @ dec_f.left.T
-    conj_residual = float(np.ldexp(frobenius_norm(s_w @ u - u @ np.conj(s_f)), 2 * e))
+    with np.errstate(over="ignore"):  # inf beyond sigma_1^2's float range
+        conj_residual = float(np.ldexp(frobenius_norm(s_w @ u - u @ np.conj(s_f)), 2 * e))
 
     return PairDecision(
         is_pair=True,
-        spectra_f=spectra_f,
-        spectra_omega=spectra_w,
         witness_unitary=u,
         bases=(e_basis, h_basis),
         type1_residual=type1_residual,

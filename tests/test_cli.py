@@ -511,10 +511,11 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("c", [1e-170, 1e170])
-@pytest.mark.parametrize("command", ["analyze", "certify", "gamma", "decide"])
+@pytest.mark.parametrize("command", ["analyze", "decide"])
 def test_bounds_outside_float_range_are_a_domain_failure(tmp_path, capsys, command, c):
     # sigma_r^2 underflowed to 0, a bare ValueError and an input error, and
-    # sigma_1^2 overflowed to inf, printed as Infinity in a passing report
+    # sigma_1^2 overflowed to inf, printed as Infinity in a passing report;
+    # only the reports that print squares, frame bounds or spectra, still fail
     f = seq_file(tmp_path, "f.json", c * np.diag([2.0, 1.0]))
     omega = seq_file(tmp_path, "w.json", c * np.array([[0.0, 2.0], [1.0, 0.0]]))
     argv = [command, f] if command == "analyze" else [command, f, omega]

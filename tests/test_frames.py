@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rdualkit import frames, linalg, rduals, representation
+from rdualkit import frames, generators, linalg, rduals, representation
 from rdualkit.errors import BoundsOutOfRange, DimensionMismatch, SingularAction, ZeroSequence
 from rdualkit.types import (
     DEFAULT_TOL,
@@ -82,6 +82,7 @@ def test_optimal_bounds_rejects_zero():
 # where it takes a sequence; c.eye is a nonzero sequence, c.e the standard
 # basis, c.q a Q validated against c.eye and c.fam c.eye's shift family
 _ZERO_RANK_CALLS = {
+    "FactoredSequence.extremes": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).extremes(),
     "FactoredSequence.bounds": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).bounds(),
     "FactoredSequence.parseval": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).parseval(),
     "FactoredSequence.sqrt_ext": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).sqrt_ext(),
@@ -112,6 +113,22 @@ def test_every_closed_form_needing_rank_rejects_a_zero_sequence(entry):
     )
     with pytest.raises(ZeroSequence):
         _ZERO_RANK_CALLS[entry](c)
+
+
+def test_extremes_are_the_square_roots_of_the_bounds():
+    # sqrt(fl(sigma^2)) = sigma in binary floating point, so the decisions that read sigma_1 and
+    # sigma_r in place of the square roots of the bounds reach the same verdicts where the bounds exist;
+    # beyond that range extremes still reads sigma and bounds raises
+    rng = np.random.default_rng(41)
+    for trial in range(50):
+        rank = int(rng.integers(1, 7))
+        sv = np.zeros(6)
+        sv[:rank] = np.sort(rng.uniform(0.1, 10.0, rank))[::-1] * 10.0 ** rng.uniform(-150.0, 150.0)
+        fac = frames.FactoredSequence.of(generators.generate_sequence(6, "spectrum", sv, seed=trial), DEFAULT_TOL)
+        bounds = fac.bounds()
+        assert np.array_equal(np.sqrt([bounds.upper, bounds.lower]), fac.extremes()), trial
+    fac = frames.FactoredSequence.of(VectorSeq(1e170 * np.diag([2.0, 1.0])), DEFAULT_TOL)
+    assert np.array_equal(fac.extremes(), [2e170, 1e170])
 
 
 def test_bounds_outside_float_range_raise():

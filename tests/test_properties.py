@@ -23,8 +23,11 @@ type1 passes on both sides, and represent reads omega's span at the rank
 on its side. CLI gamma, recover and rdual type3, with the certify report's
 root of S_f as Q, pass every genuine pair of size 6, 16 or 48 whose
 condition number lies anywhere from 1e2 to 1e9: their gates add a roundoff
-term that grows with it. The examples are derandomized, so the suite stays
-deterministic.
+term that grows with it. certify (either way round), decide, validate_q
+and rdual_type_III, and CLI certify, gamma and recover, keep their
+verdicts under x -> 2^k x across the whole float range, since no decision
+squares a singular value. The examples are derandomized, so the suite
+stays deterministic.
 """
 
 import numpy as np
@@ -169,6 +172,47 @@ def test_recovery_and_gamma_are_basis_invariant(case, seed):
         assert _near(back_w, w @ f.mat)
         assert _near(gam_w, w @ gam)
         assert _biorthogonal(omega_w, gam_w)
+
+
+# 2^k with k across the float range: every case's sigmas lie in [1e-4, 1.5], so the scaled input is finite
+# and its sigma_r a normal float from k = -1000 to k = 1021; each end is also drawn on its own
+FLOAT_RANGE = st.one_of(st.sampled_from((-1000, -600, 600, 1021)), st.integers(-1000, 1021))
+
+
+def _validate_and_type3(f, omega, q):
+    """"pass" or the error's type for Q validated against omega and the type-III dual of f under it."""
+    e = OrthonormalBasis(np.eye(f.dim))
+    try:
+        rduals.rdual_type_III(f, e, e, rduals.validate_q(q, omega))
+    except RDualError as exc:
+        return type(exc).__name__
+    return "pass"
+
+
+def _q_for(omega, q_kind, seed):
+    """A Q of omega's size spanning its bounds exactly, or one exceeding the upper one."""
+    sv = np.linalg.svd(omega.mat, compute_uv=False)
+    top, low = sv[0], sv[np.count_nonzero(sv > DEFAULT_TOL.rank_rel * sv[0]) - 1]
+    q_sv = np.geomspace(top, low, omega.dim) if q_kind == "bounds" else 2.0 * sv + top
+    return generate_sequence(omega.dim, "spectrum", q_sv, seed=seed)
+
+
+@PROPERTY
+@given(case=cases(), k=FLOAT_RANGE, q_kind=st.sampled_from(("bounds", "oversized")), seed=st.integers(0, 2**16))
+def test_pair_verdicts_hold_across_the_float_range(case, k, q_kind, seed):
+    # no decision squares a sigma, so a verdict holds wherever the sigmas are floats; before,
+    # certify, decide, validate_q and rdual_type_III raised BoundsOutOfRange from 2^512 and below 2^-511
+    f, omega, move = case
+    c = np.ldexp(1.0, k)
+    q = _q_for(omega, q_kind, seed)
+    f_c, omega_c, q_c = _scaled(c, f, omega, q)
+    assert _certify(f_c, omega_c) == _certify(f, omega)
+    assert _certify(omega_c, f_c) == _certify(omega, f)
+    assert _decide(f_c, omega_c) == _decide(f, omega) == (move == "none")
+    verdict = _validate_and_type3(f, omega, q)
+    assert _validate_and_type3(f_c, omega_c, q_c) == verdict
+    if q_kind == "oversized":
+        assert verdict == "QTooLarge"
 
 
 def _files(directory, **mats):
@@ -326,6 +370,25 @@ def test_cli_rdual_type1_verdict_is_basis_invariant(tmp_path_factory, case, seed
     if not bad_basis:
         omega = io.matrix_from_payload(plain.results["omega"])
         assert _near(io.matrix_from_payload(rotated.results["omega"]), w @ omega)
+
+
+@CLI_PROPERTY
+@given(case=cases(), k=FLOAT_RANGE)
+def test_cli_certify_gamma_and_recover_verdicts_hold_across_the_float_range(tmp_path_factory, case, k):
+    # these reports print no squares, so no BoundsOutOfRange can arise: before, certify and gamma
+    # failed from 2^512 and below 2^-511, and recover found no certificate in certify's report
+    f, omega, _ = case
+    c = np.ldexp(1.0, k)
+    directory = tmp_path_factory.mktemp("float_range")
+    paths = _files(directory, f=f.mat, omega=omega.mat, f_c=c * f.mat, omega_c=c * omega.mat)
+    verdicts = []
+    for x in ("", "_c"):
+        cert = str(directory / f"cert{x}.json")
+        certify = cli.run(["certify", paths["f" + x], paths["omega" + x], "--out", cert])
+        gamma = cli.run(["gamma", paths["f" + x], paths["omega" + x]])
+        recover = cli.run(["recover", paths["omega" + x], "--cert", cert]) if certify.verdict == "pass" else None
+        verdicts.append((_verdict(certify), _verdict(gamma), recover and _verdict(recover)))
+    assert verdicts[0] == verdicts[1]
 
 
 SIDES = {"below": -1.0, "above": 1.0}

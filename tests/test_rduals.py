@@ -111,7 +111,10 @@ def test_type_I_under_swapped_bases_undoes_itself(n, deficient, c):
 def test_validate_q_boundary_and_rejections():
     f = VectorSeq(np.diag([2.0, 1.0]))
     ok = rduals.validate_q(np.diag([2.0, 1.0]), f)
-    assert (ok.validated_against.lower, ok.validated_against.upper) == (1.0, 4.0)
+    # Q is validated against f itself, factored, whose bounds are the squares of its extremes
+    assert np.array_equal(ok.validated_against.mat, f.mat)
+    bounds = ok.validated_against.bounds()
+    assert (bounds.lower, bounds.upper) == (1.0, 4.0)
     with pytest.raises(QTooLarge):
         rduals.validate_q(np.diag([3.0, 1.0]), f)
     with pytest.raises(QInverseTooLarge):
@@ -128,7 +131,7 @@ def test_validate_q_takes_the_rank_of_f():
     # validate against exactly those bounds and type III must accept it
     f = VectorSeq(np.diag([1.0, 1e-6]))
     q = rduals.validate_q(np.diag([1.0, 1e-6]), f)
-    assert q.validated_against == frames.classify(f).bounds
+    assert q.validated_against.bounds() == frames.classify(f).bounds
     out = rduals.rdual_type_III(f, std_basis(2), std_basis(2), q)
     assert np.array_equal(out.mat, np.diag([1.0, 1e-6]))
 
