@@ -353,15 +353,15 @@ def _cmd_extend(args, tol):
     ext = extension.extend_operator(sub, tol)
     ext_inv = extension.extended_inverse(sub, tol)
     sv = action.dec.singulars
+    n = v_basis.shape[0]
     norm_ext, norm_inv = linalg.operator_norm(np.stack([ext, ext_inv]))
-    # the norms are sigma_1 and 1/sigma_k, each found to roundoff relative to itself; the
-    # product's roundoff grows as eps times the condition number sigma_1/sigma_k
+    # the norms are sigma_1 and 1/sigma_k, each found to roundoff relative to itself; the n x n extension
+    # has the action's kappa, so its roundoff is n/k times the action's: the product read 4.0 of it at most
+    gate = 8.0 * n / action.dim * action.roundoff()
     residuals = [
         _residual("norm_preservation", abs(norm_ext - sv[0]), tol.exact_rel * sv[0]),
         _residual("inverse_norm_preservation", abs(norm_inv - 1.0 / sv[-1]), tol.exact_rel / sv[-1]),
-        _residual(
-            "inverse_product", np.linalg.norm(ext @ ext_inv - np.eye(v_basis.shape[0])), tol.exact_rel * sv[0] / sv[-1]
-        ),
+        _residual("inverse_product", np.linalg.norm(ext @ ext_inv - np.eye(n)), gate),
     ]
     results = {
         "extension": io.sequence_payload(ext),

@@ -16,12 +16,13 @@ stack the factors of a call on it alone, so this saves calls and changes no
 bit. FactoredSequence.of is its one-element case, and the only path from
 this module to the engine.
 Inputs of one dimension are types.require_same_dim's test. The closed
-forms that need rank >= 1, extremes, bounds, parseval, sqrt_ext and
-canonical_dual, raise ZeroSequence at rank 0, as inverse raises
+forms that need rank >= 1, extremes, bounds, roundoff, parseval, sqrt_ext
+and canonical_dual, raise ZeroSequence at rank 0, as inverse raises
 SingularAction short of full rank, so no caller tests the rank first.
 A pair's two factorizations share one rank (rduals.certify_symmetrical_pair).
 Decisions read sigma by extremes; bounds and spectrum square it, for
-reports, and only they raise BoundsOutOfRange.
+reports, and only they raise BoundsOutOfRange. Every gate's roundoff term
+that grows with kappa = sigma_1 / sigma_r reads roundoff, n eps kappa.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class FactoredSequence(VectorSeq):
     root, the Parsevalization, the canonical dual and the extended square
     root are closed forms in U, sigma and V, and cost no further
     factorization. rank counts the singular values above rank_rel *
-    sigma_max; every rank decision on the sequence uses this one count.
+    sigma_max; every rank decision on the sequence, and roundoff(), use it.
     """
 
     dec: Svd
@@ -130,6 +131,11 @@ class FactoredSequence(VectorSeq):
         self._check_squares()
         # scalar squares: numpy's array square, as in spectrum, can differ from them in the last bit
         return FrameBounds(lower=float(lower**2), upper=float(upper**2))
+
+    def roundoff(self) -> float:
+        """n eps sigma_1 / sigma_r at the rank held: the relative roundoff of forming the operator or of its inverse."""
+        sv = self.dec.singulars
+        return self.dim * np.finfo(np.float64).eps * sv[0] / sv[self._nonzero_rank("condition number") - 1]
 
     def _nonzero_rank(self, what: str) -> int:
         """The rank, or ZeroSequence when it is 0; what names the value a zero sequence lacks."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import frames
 from .errors import ParseError, ShapeError
-from .rduals import RDualCertificate
+from .rduals import RDualCertificate, _invertible_root
 from .types import OrthonormalBasis, Tolerances, VectorSeq, has_finite_moduli
 
 
@@ -149,10 +149,10 @@ def certificate_from_payload(payload, tol: Tolerances) -> tuple[RDualCertificate
 
     Accepts either a bare bundle or a full report with the bundle nested
     under results.certificate. The extended root is factored here, by one
-    SVD at tol, which the certificate carries to recovery. A bundle holds no
-    f, so the certificate's fac_f is None: gamma_sequence factors the f it
-    is given, and inverts the root from that same SVD, plus one residual
-    step against the bundled matrix, as it does for a certified one.
+    SVD, which the certificate carries to recovery once _invertible_root
+    admits it. A bundle holds no f, so fac_f is None: gamma_sequence
+    factors the f it is given, and inverts the root from that same SVD,
+    plus one residual step against the bundled matrix, as for a certified one.
     """
     if isinstance(payload, dict) and "results" in payload:
         results = payload["results"]
@@ -165,10 +165,11 @@ def certificate_from_payload(payload, tol: Tolerances) -> tuple[RDualCertificate
     residual = payload["residual"]
     if isinstance(residual, bool) or not isinstance(residual, (int, float)):
         raise ParseError("certificate residual must be a number")
+    root = payload["s_omega_sqrt_ext"]
     cert = RDualCertificate(
         e_basis=OrthonormalBasis(matrix_from_payload(payload["e_basis"]), tol=tol),
         h_basis=OrthonormalBasis(matrix_from_payload(payload["h_basis"]), tol=tol),
-        fac_ext=frames.FactoredSequence.of(VectorSeq(matrix_from_payload(payload["s_omega_sqrt_ext"])), tol),
+        fac_ext=_invertible_root(frames.FactoredSequence.of(VectorSeq(matrix_from_payload(root)), tol), tol),
         residual=float(residual),
     )
     s_f_sqrt = None

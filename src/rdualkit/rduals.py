@@ -38,7 +38,8 @@ recover_symmetrical and recover_type_III invert from those SVDs and run no
 engine pass. gamma_sequence and coefficient_identity_check reuse the
 certificate's SVD of f when they get the certified f, and invert the root
 from the SVD it carries plus one residual step against its matrix
-(_ext_solve), so they run no engine pass either.
+(_ext_solve), so they run no engine pass either. Every roundoff allowance
+here is a FactoredSequence.roundoff: Q's, or the extended root's.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .errors import (
     QSingular,
     QTooLarge,
     RankMismatch,
-    SingularAction,
 )
 from .types import (
     DEFAULT_TOL,
@@ -90,8 +90,8 @@ class QOperator:
 
     @property
     def roundoff(self) -> float:
-        """n eps sigma_1 / sigma_n of Q: how far forming Q moves its sigma_n, relative; validate_q's slack adds it."""
-        return _roundoff(self.fac_q)
+        """Q's roundoff(): how far forming Q moves its sigma_n, relative; validate_q's slack adds it."""
+        return self.fac_q.roundoff()
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +122,12 @@ class RDualCertificate:
 
     @property
     def roundoff(self) -> float:
-        """3 n eps kappa, kappa = sigma_1 / sigma_r of omega and of the root: gamma's and recovery's relative roundoff.
+        """3 root roundoffs, 3 n eps kappa for kappa = sigma_1 / sigma_r of omega: gamma's and recovery's, relative.
 
         Each inverts the root, applies the type-I map and applies or meets
-        the root again, and each of these three steps costs n eps kappa of
-        relative error, where cert_rel does not grow with kappa.
+        the root again, three steps of the root's roundoff() each.
         """
-        return 3.0 * _roundoff(self.fac_ext)
+        return 3.0 * self.fac_ext.roundoff()
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,12 +150,6 @@ class PairDecision:
     def __post_init__(self):
         if self.witness_unitary is not None:
             object.__setattr__(self, "witness_unitary", read_only(self.witness_unitary))
-
-
-def _roundoff(fac: frames.FactoredSequence) -> float:
-    """n eps sigma_1 / sigma_n for an invertible fac: the relative roundoff of forming it or applying its inverse."""
-    sv = fac.dec.singulars
-    return fac.dim * np.finfo(np.float64).eps * sv[0] / sv[-1]
 
 
 def _aligned_bases(
@@ -185,7 +178,7 @@ def validate_q(q, f: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> QOperator:
     norm(Q) may not exceed the square root of the upper bound and
     norm(Q^-1) may not exceed the square root of the inverse lower bound; a
     (1 + cert_rel) slack absorbs roundoff at the boundary. The second slack
-    adds QOperator.roundoff, n eps sigma_1 / sigma_n of Q: a Q formed as
+    adds Q's roundoff(), n eps sigma_1 / sigma_n: a Q formed as
     U diag(sigma) U^H, such as the root of S_f, carries an error of order
     eps sigma_1, which moves sigma_n by that much relative. The roots of the
     bounds, sigma_1 and sigma_r, come unsquared from the SVD of f, at its
@@ -196,13 +189,11 @@ def validate_q(q, f: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> QOperator:
     fac, fac_q = frames.FactoredSequence.of_all((f, q if isinstance(q, VectorSeq) else VectorSeq(q)), tol)
     upper, lower = fac.extremes()
 
-    if fac_q.rank < fac_q.dim:
-        raise QSingular("Q is singular at the working rank threshold")
-    sv = fac_q.dec.singulars
+    sv = _invertible_q(fac_q, tol).dec.singulars
     slack = 1.0 + tol.cert_rel
     if sv[0] > upper * slack:
         raise QTooLarge(f"norm(Q) = {sv[0]:.6g} exceeds sqrt(upper bound) = {upper:.6g}")
-    if 1.0 / sv[-1] > (slack + _roundoff(fac_q)) / lower:
+    if 1.0 / sv[-1] > (slack + fac_q.roundoff()) / lower:
         raise QInverseTooLarge(f"norm(Q^-1) = {1.0 / sv[-1]:.6g} exceeds sqrt(1/lower bound) = {1.0 / lower:.6g}")
     return QOperator(fac_q=fac_q, validated_against=fac)
 
@@ -219,24 +210,24 @@ def rdual_type_III(
     return VectorSeq(q.q @ rdual_type_I(VectorSeq(fac.parseval()), e, h).mat)
 
 
-def _recover(omega: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis, fac_q, invert, s_f_sqrt, tol) -> VectorSeq:
+def _recover(omega: VectorSeq, e: OrthonormalBasis, h: OrthonormalBasis, fac_q, admit, s_f_sqrt, tol) -> VectorSeq:
     """s_f_sqrt times the type-I dual of Q^-1 omega under (h, e): both recoveries, for Q the FactoredSequence fac_q.
 
-    s_f_sqrt must be Hermitian; NotHermitian is raised before invert(fac_q, tol) takes Q^-1.
+    s_f_sqrt must be Hermitian; NotHermitian is raised before admit(fac_q, tol) decides Q is invertible.
     """
     s_f_sqrt = as_operator(s_f_sqrt)
     require_same_dim(omega.dim, e.dim, h.dim, fac_q.dim, s_f_sqrt.shape[0])
     if not is_hermitian(s_f_sqrt, tol):
         raise NotHermitian("s_f_sqrt must be Hermitian")
-    return VectorSeq(s_f_sqrt @ rdual_type_I(VectorSeq(invert(fac_q, tol) @ omega.mat), h, e).mat)
+    return VectorSeq(s_f_sqrt @ rdual_type_I(VectorSeq(admit(fac_q, tol).inverse() @ omega.mat), h, e).mat)
 
 
-def _q_inverse(fac_q: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
-    """Q^-1 from the SVD Q carries, its rank retaken at tol; QSingular when that rank falls short."""
-    try:
-        return frames.FactoredSequence.of(fac_q, tol).inverse()
-    except SingularAction as exc:
-        raise QSingular(str(exc)) from exc
+def _invertible_q(fac_q: frames.FactoredSequence, tol: Tolerances) -> frames.FactoredSequence:
+    """Q with its rank retaken at tol; QSingular when that rank falls short."""
+    fac_q = frames.FactoredSequence.of(fac_q, tol)
+    if fac_q.rank < fac_q.dim:
+        raise QSingular("Q is singular at the working rank threshold")
+    return fac_q
 
 
 def recover_type_III(
@@ -253,7 +244,7 @@ def recover_type_III(
     swapped bases (h, e), which undoes the map under (e, h). Q is inverted
     from the SVD it carries, at tol's rank threshold, so no engine pass runs.
     """
-    return _recover(omega, e, h, q.fac_q, _q_inverse, s_f_sqrt, tol)
+    return _recover(omega, e, h, q.fac_q, _invertible_q, s_f_sqrt, tol)
 
 
 def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = DEFAULT_TOL) -> RDualCertificate:
@@ -299,17 +290,18 @@ def certify_symmetrical_pair(f: VectorSeq, omega: VectorSeq, tol: Tolerances = D
     )
 
 
-def _ext_inverse(root: frames.FactoredSequence, tol: Tolerances) -> np.ndarray:
-    """Invert a certificate's extended root, which must be Hermitian, from the SVD it carries.
+def _invertible_root(root: frames.FactoredSequence, tol: Tolerances) -> frames.FactoredSequence:
+    """A certificate's extended root at full rank once it is Hermitian and invertible at tol, else CertificationFailed.
 
-    Its rank, which decides invertibility, is retaken at tol.
+    Invertible means sigma_n + n eps sigma_1 > rank_rel sigma_1, its roundoff() as slack: a root certify
+    built with sigma_n just above the rank threshold may be factored again just below it.
     """
     if not is_hermitian(root.mat, tol):
         raise CertificationFailed("certificate operator is not Hermitian")
-    try:
-        return frames.FactoredSequence.of(root, tol).inverse()
-    except SingularAction as exc:
-        raise CertificationFailed(f"certificate operator is not invertible: {exc}") from exc
+    sv, full = root.dec.singulars, replace(root, rank=root.dim)
+    if not (sv[-1] > 0.0 and sv[-1] * (1.0 + full.roundoff()) > tol.rank_rel * sv[0]):
+        raise CertificationFailed("certificate operator is not invertible at the working rank threshold")
+    return full
 
 
 def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol: Tolerances = DEFAULT_TOL) -> VectorSeq:
@@ -317,11 +309,11 @@ def recover_symmetrical(omega: VectorSeq, cert: RDualCertificate, s_f_sqrt, tol:
 
     This is recover_type_III's formula with Q taken as the certificate's
     extended square root, whose adjoint inverse is its plain inverse. The
-    root is inverted from the SVD the certificate carries, with its rank
-    taken at tol, so no engine pass runs. Raises NotHermitian unless
-    s_f_sqrt is Hermitian, as recover_type_III does.
+    root is inverted from the SVD the certificate carries, once
+    _invertible_root admits it at tol, so no engine pass runs. Raises
+    NotHermitian unless s_f_sqrt is Hermitian, as recover_type_III does.
     """
-    return _recover(omega, cert.e_basis, cert.h_basis, cert.fac_ext, _ext_inverse, s_f_sqrt, tol)
+    return _recover(omega, cert.e_basis, cert.h_basis, cert.fac_ext, _invertible_root, s_f_sqrt, tol)
 
 
 def _certified_parseval(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -> VectorSeq:
@@ -332,7 +324,7 @@ def _certified_parseval(f: VectorSeq, cert: RDualCertificate, tol: Tolerances) -
 
 
 def _ext_solve(root: frames.FactoredSequence, x: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """E^-1 x for a certificate's extended root E: y = C x, then y + C (x - M y), M its matrix, C = _ext_inverse.
+    """E^-1 x for a certificate's extended root E: y = C x, then y + C (x - M y), M its matrix, C its SVD's inverse.
 
     Forming M moved the SVD the root carries by about n eps sigma_1, so
     C M - I grows with the root's condition number, and C alone roughly
@@ -340,7 +332,7 @@ def _ext_solve(root: frames.FactoredSequence, x: np.ndarray, tol: Tolerances) ->
     cancels that error to first order (Higham, "Accuracy and Stability of
     Numerical Algorithms", 2nd ed., ch. 12). Recovery applies C alone.
     """
-    c = _ext_inverse(root, tol)
+    c = _invertible_root(root, tol).inverse()
     y = c @ x
     return y + c @ (x - root.mat @ y)
 

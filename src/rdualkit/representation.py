@@ -22,8 +22,8 @@ C(x)[i, j] = x[(i - j) mod n]: the family needs X and no power of U.
 
 The extended square root and the span of omega are closed forms in one
 SVD of omega (frames.FactoredSequence.sqrt_ext), and the root carries that
-SVD, so its inverse() factors nothing: building the shift family costs one
-factorization, and the coefficients Parsevalize f from its own SVD.
+SVD, so its inverse() factors nothing and its roundoff() is the gates' kappa
+term: the family costs one factorization, and f is Parsevalized from its SVD.
 lambda_family returns the Lambda_k as one (n, n, n) stack. The 2n + 1
 operator norms that represent_inv_sqrt reports take one linalg.operator_norm
 call on one stack of the Lambda_k, the c-family error and the a-family
@@ -63,30 +63,34 @@ class ShiftFamily:
 
     The family's V_j is s_inv_sqrt_ext @ u^j @ s_sqrt_ext, with u unitary;
     lambda_family builds its Lambda_k from the circulant form in the module
-    docstring, so no V_j is stored. span holds orthonormal columns spanning
-    the numerical range of omega, from the same factorization, and source
-    is the synthesis matrix of that omega. sqrt_norm and inv_sqrt_norm are
-    the operator norms of s_sqrt_ext and s_inv_sqrt_ext: sigma_1 and
-    1 / sigma_r for the largest singular value of omega and the smallest
-    above the rank threshold.
+    docstring, so no V_j is stored. root is s_sqrt_ext with its SVD, from
+    FactoredSequence.sqrt_ext; inv_sqrt_norm, the norm of s_inv_sqrt_ext,
+    is 1 / sigma_n of the root, 1 / sigma_r of omega. span spans the
+    numerical range of omega, from the same SVD, and source is that omega's
+    matrix.
     """
 
     u: np.ndarray
-    s_sqrt_ext: np.ndarray
+    root: frames.FactoredSequence
     s_inv_sqrt_ext: np.ndarray
     span: np.ndarray
     source: np.ndarray
-    sqrt_norm: float
-    inv_sqrt_norm: float
 
     def __post_init__(self):
         object.__setattr__(self, "u", as_operator(self.u))
-        object.__setattr__(self, "s_sqrt_ext", as_operator(self.s_sqrt_ext))
         object.__setattr__(self, "s_inv_sqrt_ext", as_operator(self.s_inv_sqrt_ext))
 
     @property
     def dim(self) -> int:
         return self.u.shape[0]
+
+    @property
+    def s_sqrt_ext(self) -> np.ndarray:
+        return self.root.mat
+
+    @property
+    def inv_sqrt_norm(self) -> float:
+        return float(1.0 / self.root.dec.singulars[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +121,8 @@ class RepresentationReport:
     tail_table rows are (prefix_size, partial_error, tail_bound) where the
     bound is the excluded l1 mass of the a-family times sqrt(bessel_sup).
     error_a was gated on budget + roundoff: budget is cert_rel times the
-    target's norm, and roundoff is 3 n eps kappa times it, what forming the
-    sum costs, for the condition number kappa of omega. Prefix m was gated
+    target's norm, and roundoff, what forming the sum costs, is 3 root
+    roundoffs, 3 n eps kappa for kappa of omega, times it. Prefix m was gated
     on its tail bound, the budget and m / n of roundoff. modulus_gap records
     max_i ||a_i| - |c_i|| and carries no assertion.
     """
@@ -147,15 +151,13 @@ def build_shift_family(omega: VectorSeq, h: OrthonormalBasis, tol: Tolerances = 
     """
     require_same_dim(omega.dim, h.dim)
     fac = frames.FactoredSequence.of(omega, tol)
-    ext = fac.sqrt_ext()
+    root = fac.sqrt_ext()
     return ShiftFamily(
         u=np.roll(h.mat, -1, axis=1) @ h.mat.conj().T,
-        s_sqrt_ext=ext.mat,
-        s_inv_sqrt_ext=ext.inverse(),
+        root=root,
+        s_inv_sqrt_ext=root.inverse(),
         span=fac.span,
         source=omega.mat,
-        sqrt_norm=float(ext.dec.singulars[0]),
-        inv_sqrt_norm=float(1.0 / ext.dec.singulars[-1]),
     )
 
 
@@ -240,14 +242,14 @@ def represent_inv_sqrt(
     Each gate adds two terms. The budget is cert_rel times the norm of the
     target, fam.inv_sqrt_norm: the a_k and the target scale as 1 / sigma_r
     of omega while the Lambda_k do not, so it holds at every scale. The
-    roundoff term is what forming the sum costs, and it grows with the
-    condition number kappa = sigma_1 / sigma_r of omega where the budget
-    does not. |a_k| is at most the target's norm and ||Lambda_k|| is of
-    order kappa, so each term a_k Lambda_k brings three roundings of order
-    eps kappa fam.inv_sqrt_norm, in a_k, in Lambda_k and in adding the
-    product; prefix m takes 3 m of them. A weight eps |a_k| ||Lambda_k||
-    per term falls short: a_k, an entry of H^* S^{-1/2} h_0, carries
-    roundoff of order eps times the target's norm however small it is.
+    roundoff term is what forming the sum costs. |a_k| is at most the
+    target's norm and ||Lambda_k|| is of order kappa = sigma_1 / sigma_r of
+    omega, so each term a_k Lambda_k brings three roundings of order
+    eps kappa times the target's norm, in a_k, in Lambda_k and in adding
+    the product: the n terms bring 3 fam.root.roundoff() times it, and
+    prefix m its m / n share. A weight eps |a_k| ||Lambda_k|| per term falls
+    short: a_k, an entry of H^* S^{-1/2} h_0, carries roundoff of order eps
+    times the target's norm however small it is.
     The c-family sum is measured only. Each of the 2n + 1 norms, all from
     one operator_norm call, is bit for bit the norm of its matrix alone.
     """
@@ -282,20 +284,18 @@ def represent_inv_sqrt(
     partial_errors = norms[n + 1 :]
 
     budget = tol.cert_rel * fam.inv_sqrt_norm
+    roundoff = float(3.0 * fam.root.roundoff() * fam.inv_sqrt_norm)
     abs_a = np.abs(coeffs.a)
-    kappa = fam.sqrt_norm * fam.inv_sqrt_norm
-    term_roundoff = 3.0 * np.finfo(np.float64).eps * kappa * fam.inv_sqrt_norm
     rows = []
     for m in range(1, n + 1):
         partial_error = float(partial_errors[m - 1])
         tail_bound = float(np.sum(abs_a[m:]) * np.sqrt(bessel_sup))
-        if partial_error > tail_bound + budget + m * term_roundoff:
+        if partial_error > tail_bound + budget + m / n * roundoff:
             raise CertificationFailed(
                 f"prefix {m} misses its tail bound: {partial_error:.3e} > {tail_bound:.3e}"
             )
         rows.append((m, partial_error, tail_bound))
     error_a = rows[-1][1]
-    roundoff = float(n * term_roundoff)
     if error_a > budget + roundoff:
         raise CertificationFailed(f"representation error {error_a:.3e} exceeds {budget + roundoff:.3e}")
 

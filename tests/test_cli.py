@@ -259,6 +259,43 @@ def test_gates_reject_perturbations_at_every_condition(tmp_path):
         assert all(0.0 < smallest <= 1e-5 for smallest in with_term), (kappa, with_term)
 
 
+def extend_gate_table(tmp_path, n, k, kappas):
+    """Per kappa, the smallest relative perturbation on GATE_DELTAS that extend's inverse_product gate rejects.
+
+    The action has spectrum geomspace(1, 1/kappa) on the first k vectors of
+    an n-dimensional basis. The gate is applied to E (E^-1 (1 + delta z)),
+    entrywise with |z| = 1, for the extension E and its inverse that CLI
+    extend prints, at the gate it reports and at the former exact_rel
+    sigma_1/sigma_k; 0 marks a gate that rejects the genuine product.
+    Returns {kappa: (with the gate, with the former one)}.
+    """
+    z = np.exp(2j * np.pi * np.random.default_rng(15).random((n, n)))
+    deltas = (0.0, *GATE_DELTAS)
+    table = {}
+    for kappa in kappas:
+        action = generators.generate_sequence(k, "spectrum", np.geomspace(1.0, 1.0 / kappa, k), seed=16).mat
+        vbasis = generators.generate_sequence(n, "onb", seed=17).mat[:, :k]
+        phi, vb = seq_file(tmp_path, "phi.json", action), seq_file(tmp_path, "vb.json", vbasis)
+        report = cli.run(["extend", "--phi", phi, "--vbasis", vb])
+        ext, ext_inv = (io.matrix_from_payload(report.results[key]) for key in ("extension", "extension_inverse"))
+        (entry,) = [r for r in report.residuals if r["name"] == "inverse_product"]
+        sv = np.linalg.svd(action, compute_uv=False)
+        gates = (entry["tolerance"], DEFAULT_TOL.exact_rel * sv[0] / sv[-1])
+        products = [np.linalg.norm(ext @ (ext_inv * (1.0 + delta * z)) - np.eye(n)) for delta in deltas]
+        table[kappa] = tuple(min((d for d, p in zip(deltas, products) if p > gate), default=np.inf) for gate in gates)
+    return table
+
+
+@pytest.mark.parametrize("n, k", [(8, 5), (48, 40)])
+def test_extend_gate_rejects_perturbations_at_every_condition(tmp_path, n, k):
+    # the inverse product is gated at 8 n eps kappa, the extension's roundoff times 8, where
+    # exact_rel kappa sat three decades above the largest measured product: the genuine
+    # product passes, and a smaller perturbation of the inverse is rejected than before
+    table = extend_gate_table(tmp_path, n, k, (1e2, 1e6, 1e9))
+    for kappa, (now, before) in table.items():
+        assert 0.0 < now < before, (kappa, now, before)
+
+
 def test_one_verdict_rule():
     asserted_ok = {"name": "a", "value": 1.0, "tolerance": 2.0}
     asserted_broken = {"name": "b", "value": 3.0, "tolerance": 2.0}
@@ -610,8 +647,8 @@ def test_tolerance_flags_reach_report(desk):
 def test_scale_free_gates_read_their_budget(tmp_path, budget, check):
     # generate's Gram defect is gated by exact_rel, since a basis orthonormalized
     # by two passes of Gram-Schmidt is orthonormal to machine precision; extend's
-    # inverse product by exact_rel times the action's condition number
-    # sigma_1/sigma_k, since its roundoff grows as eps times that
+    # inverse product by 8 n eps sigma_1/sigma_k, 8 times the roundoff of the
+    # n x n extension, whose condition number is the action's
     rng = np.random.default_rng(61)
     action = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     sv = np.linalg.svd(action, compute_uv=False)
@@ -619,7 +656,7 @@ def test_scale_free_gates_read_their_budget(tmp_path, budget, check):
     vbasis = seq_file(tmp_path, "vb.json", generators.random_onb(5, np.random.default_rng(62))[:, :3])
     argv, tolerance = {
         "exact_rel": (["generate", "--n", "8", "--kind", "onb", "--seed", "3"], DEFAULT_TOL.exact_rel),
-        "condition": (["extend", "--phi", phi, "--vbasis", vbasis], DEFAULT_TOL.exact_rel * sv[0] / sv[-1]),
+        "condition": (["extend", "--phi", phi, "--vbasis", vbasis], 8 * 5 * np.finfo(float).eps * sv[0] / sv[-1]),
     }[budget]
     report = cli.run(argv)
     assert report.verdict == "pass"

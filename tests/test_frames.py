@@ -86,6 +86,7 @@ _ZERO_RANK_CALLS = {
     "FactoredSequence.bounds": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).bounds(),
     "FactoredSequence.parseval": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).parseval(),
     "FactoredSequence.sqrt_ext": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).sqrt_ext(),
+    "FactoredSequence.roundoff": lambda c: frames.FactoredSequence.of(c.zero, DEFAULT_TOL).roundoff(),
     "optimal_bounds": lambda c: frames.optimal_bounds(c.zero),
     "canonical_dual": lambda c: frames.canonical_dual(c.zero),
     "parsevalize": lambda c: frames.parsevalize(c.zero),
@@ -342,7 +343,8 @@ def test_factored_inverse():
 
 def test_sqrt_ext_inverse_is_the_reciprocal_spectral_form(engine_passes):
     # the extended root comes with its spectral SVD, so inverse() factors
-    # nothing and is U diag(1/ext) U^H bit for bit, at full rank and below
+    # nothing and is U diag(1/ext) U^H bit for bit, at full rank and below;
+    # its roundoff() is the sequence's, n eps sigma_1 / sigma_r at rank r
     rng = np.random.default_rng(52)
     for rank in (5, 3, 1):
         fac = frames.FactoredSequence.of(rand_seq(rng, 5, rank), DEFAULT_TOL)
@@ -356,3 +358,4 @@ def test_sqrt_ext_inverse_is_the_reciprocal_spectral_form(engine_passes):
         assert engine_passes == []
         assert _same_bits(inv, (u * (1.0 / sv)) @ u.conj().T), rank
         assert np.linalg.norm(inv @ ext.mat - np.eye(5)) <= 1e-13 * sv[0] / sv[-1]
+        assert ext.roundoff() == fac.roundoff() == 5 * np.finfo(np.float64).eps * sv[0] / sv[rank - 1], rank

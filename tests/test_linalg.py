@@ -30,6 +30,7 @@ function is called from the library or the demos, a short listed set aside.
 import ast
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -831,6 +832,56 @@ def test_sequences_reach_the_engine_through_one_call_site():
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "linalg.svd"
             ]
     assert callers == ["frames.py:FactoredSequence.of_all"]
+
+
+def _is_unit_roundoff(node) -> bool:
+    """Whether node forms the float64 unit roundoff: finfo(...).eps, float_info.epsilon, spacing, 2**-52, its value."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "epsilon" or (
+            node.attr == "eps" and isinstance(node.value, ast.Call) and ast.unparse(node.value.func).endswith("finfo")
+        )
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func).endswith("spacing")
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return ast.unparse(node) in ("2 ** (-52)", "2.0 ** (-52)")
+    return isinstance(node, ast.Constant) and node.value == np.finfo(np.float64).eps
+
+
+def _unit_roundoff_sites(package: pathlib.Path) -> list:
+    """ "file:function", or "file:NAME" for a module constant, for every place the package forms the unit roundoff."""
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree, path.name)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                for node in ast.walk(stmt):
+                    owner[id(node)] = f"{path.name}:{ast.unparse(stmt.targets[0])}"
+        found = [node for node in ast.walk(tree) if _is_unit_roundoff(node)]
+        sites += [owner.get(id(node), f"{path.name}:{node.lineno}") for node in found]
+    return sorted(sites)
+
+
+def test_the_unit_roundoff_is_formed_in_one_home():
+    # every gate that allows for kappa-dependent roundoff reads FactoredSequence.roundoff, so eps is
+    # formed for it in frames alone; the engine keeps its own two constants, the cut below which a
+    # column counts as zero and the squaring bracket's close
+    package = pathlib.Path(rdualkit.__file__).parent
+    homes = ["frames.py:FactoredSequence.roundoff", "linalg.py:_TINY", "linalg.py:_bracket"]
+    assert _unit_roundoff_sites(package) == homes
+
+
+@pytest.mark.parametrize(
+    "leak", ["np.finfo(np.float64).eps", "np.finfo(float).eps", "sys.float_info.epsilon", "np.spacing(1.0)",
+             "2.0 ** -52", "2.220446049250313e-16"],
+)
+def test_the_unit_roundoff_scan_finds_a_second_home(tmp_path, leak):
+    # the scan above on a copy of the package where rduals forms eps once more
+    package = tmp_path / "rdualkit"
+    shutil.copytree(pathlib.Path(rdualkit.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "rduals.py", "a", encoding="utf-8") as fh:
+        fh.write(f"\n\ndef _gate(kappa):\n    return kappa * {leak}\n")
+    assert "rduals.py:_gate" in _unit_roundoff_sites(package)
 
 
 # public functions that nothing but the tests calls; pruning them (ROADMAP) empties this set

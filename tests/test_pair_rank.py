@@ -10,13 +10,16 @@ differ beyond singular_gap's budget. On every draw of the grid below,
 certify, gamma, the coefficient identity and recovery pass, in process and
 through the CLI, and certify(omega, f) returns certify(f, omega)'s bases
 swapped, bit for bit: the relation is symmetrical, as the paper states.
+CLI recover from certify's bundle passes too: the bundled root, factored
+again on loading, may show a sigma_n just below the threshold, and its
+invertibility allows for the root's own roundoff.
 """
 
 import numpy as np
 import pytest
 
 from rdualkit import cli, frames, io, rduals
-from rdualkit.errors import BoundsMismatch, RankMismatch
+from rdualkit.errors import BoundsMismatch, CertificationFailed, RankMismatch
 from rdualkit.generators import generate_sequence
 from rdualkit.types import DEFAULT_TOL, OrthonormalBasis, VectorSeq, frobenius_norm
 
@@ -66,7 +69,10 @@ def test_genuine_pairs_at_the_rank_threshold_pass_every_pair_operation(tmp_path,
         assert np.array_equal(swapped.h_basis.mat, cert.e_basis.mat), n
 
         paths = _files(tmp_path, f=f.mat, omega=omega.mat)
-        assert cli.run(["certify", paths["f"], paths["omega"]]).verdict == "pass", n
+        cert_path = str(tmp_path / "cert.json")
+        assert cli.run(["certify", paths["f"], paths["omega"], "--out", cert_path]).verdict == "pass", n
+        report = cli.run(["recover", paths["omega"], "--cert", cert_path])
+        assert report.verdict == "pass", (n, report.results.get("message"))
         report = cli.run(["gamma", paths["f"], paths["omega"]])
         # below full pair rank biorthogonality is reported unasserted, which makes the report measured
         assert report.verdict == ("pass" if cert.fac_f.rank == n else "measured"), (n, report.results)
@@ -124,3 +130,25 @@ def test_a_certificate_carries_the_pair_rank_to_gamma(tmp_path):
     report = cli.run(["gamma", paths["f"], paths["omega"]])
     # biorthogonality is promised for Riesz bases only, so it is reported unasserted
     assert report.verdict == "measured" and report.results["omega_is_riesz_basis"] is False
+
+
+@pytest.mark.parametrize("drop, loads", [(1e-6, True), (1e-3, False)])
+def test_a_bundled_root_is_invertible_up_to_its_own_roundoff(drop, loads):
+    # a Hermitian root of sigma_n / sigma_1 = rank_rel (1 - drop) at n = 12: its roundoff
+    # n eps sigma_1 / sigma_n is 2.7e-5 of rank_rel, so 1e-6 below the threshold lies within
+    # it and loads, as roots certify issued do, and 1e-3 below lies beyond it and is refused
+    n = 12
+    sv = np.concatenate([np.geomspace(1.0, 0.1, n - 1), [DEFAULT_TOL.rank_rel * (1.0 - drop)]])
+    u = generate_sequence(n, "onb", seed=31).mat
+    eye = io.sequence_payload(np.eye(n))
+    root = io.sequence_payload((u * sv) @ u.conj().T)
+    bundle = {"e_basis": eye, "h_basis": eye, "s_omega_sqrt_ext": root, "residual": 0.0}
+    if loads:
+        cert, _ = io.certificate_from_payload(bundle, DEFAULT_TOL)
+        assert frames.FactoredSequence.of(VectorSeq(cert.s_omega_sqrt_ext), DEFAULT_TOL).rank < n
+        assert cert.fac_ext.rank == n
+    else:
+        # refused on loading, where the root is factored, or at the latest when recovery inverts it
+        with pytest.raises(CertificationFailed, match="not invertible"):
+            cert, _ = io.certificate_from_payload(bundle, DEFAULT_TOL)
+            rduals.recover_symmetrical(VectorSeq(np.eye(n)), cert, np.eye(n))
